@@ -8,6 +8,7 @@ individually reportable checks.
 """
 from __future__ import annotations
 
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -155,8 +156,9 @@ def series(
     A CapExceeded at some width truncates the series there; the report
     keeps the earlier values and records the reason.  With a budget, the
     series also stops after the first term whose computation alone took
-    longer than `budget` seconds.  jobs > 1 computes terms in parallel
-    (budget is then ignored: wall time per term is no longer meaningful).
+    longer than `budget` seconds.  jobs > 1 computes terms in parallel, in
+    at most one worker per width and per CPU (budget is then ignored: wall
+    time per term is no longer meaningful).
     """
     if metric not in SERIES_METRICS:
         raise ValueError(f"unknown metric {metric!r}")
@@ -164,9 +166,12 @@ def series(
         raise ValueError(
             f"need index <= n_from <= n_to, got {chain.index}, {n_from}, {n_to}"
         )
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     values: list[tuple[int, int]] = []
     truncated: str | None = None
     widths = range(n_from, n_to + 1)
+    jobs = min(jobs, len(widths), os.cpu_count() or 1)
     if jobs > 1:
         work = [
             (chain, n, metric, field, gen_cap, lattice_cap) for n in widths
@@ -287,6 +292,9 @@ def check_pd_linearity(
     Checks pd(n+1) >= pd(n) + 1 and pd(n) <= n - 1 over the window, and
     that the window pins down an affine tail of slope exactly 1, so
     pd(n) = n - d eventually; d - 1 is reported as the limiting depth.
+    When the growth checks hold but the affine tail has fewer than the four
+    points `detect_linear` needs, the window is too short: the result is
+    not applicable rather than a failure.
     """
     name = "pd_linearity"
     r = chain.index
@@ -302,9 +310,12 @@ def check_pd_linearity(
         pts.append((n, betti_table(t, field, gen_cap, lattice_cap).pd()))
     increments_ok = all(b >= a + 1 for (_, a), (_, b) in zip(pts, pts[1:]))
     bound_ok = all(v <= n - 1 for n, v in pts)
-    fit = detect_linear(pts)
-    slope_ok = fit is not None and fit.slope == 1
+    fit = detect_linear(pts) if len(pts) >= 2 else None
     details: dict = {"values": pts, "fit": fit}
+    if fit is None and increments_ok and bound_ok:
+        details["reason"] = "window too short: affine tail under 4 points"
+        return CheckResult(name, False, True, details)
+    slope_ok = fit is not None and fit.slope == 1
     if slope_ok:
         d = -int(fit.intercept)
         details["d"] = d

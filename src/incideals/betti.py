@@ -11,7 +11,8 @@ Betti numbers vanish away from the lcm lattice (all least common multiples
 of subsets of the minimal generators), so the table is assembled by walking
 that lattice.  The lattice is built by closing the generator set under
 pairwise lcm, which is equivalent to enumerating subsets but stays
-proportional to the lattice size.
+proportional to the lattice size; lattice points are deduplicated as
+sortable keys (integers, or bytes for very wide exponent ranges).
 
 Homology ranks come from Gaussian elimination over GF(p) on boundary
 matrices.  Two shortcuts keep large saturated-chain ideals tractable and
@@ -28,6 +29,7 @@ which collapses the many repeated orbit patterns along a chain.
 """
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -56,6 +58,7 @@ DEFAULT_GEN_CAP = 20
 DEFAULT_LATTICE_CAP = 500_000
 
 _MAX_AMBIENT = 62  # bitmask faces live in int64
+_BLOCK_CELLS = 1 << 18  # int64 cells per classification temporary; bounds peak memory
 
 
 # -- bit utilities ---------------------------------------------------------
@@ -77,49 +80,109 @@ def _popcount(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+_MAX_EXPONENT = int(np.iinfo(np.int16).max)
+
+
 def _dense(ideal: MonomialIdeal) -> np.ndarray:
     mat = np.zeros((len(ideal.gens), ideal.ambient), dtype=np.int16)
     for row, g in enumerate(ideal.gens):
         for i, e in g.exps:
+            if e > _MAX_EXPONENT:
+                raise ValueError(
+                    f"exponent {e} of x{i} exceeds {_MAX_EXPONENT}, the largest"
+                    " supported in Betti computations"
+                )
             mat[row, i - 1] = e
     return mat
 
 
 # -- lcm lattice -----------------------------------------------------------
 
+def _row_keys(gens: np.ndarray):
+    """Sortable keys for exponent rows bounded by the generators.
+
+    Returns (encode, decode, joins): rows to keys, keys to rows, and the
+    keys of max(row, g) for every row of a key block and every generator
+    g, row-major.  Rows are keyed by a mixed-radix int64 (radix max + 1
+    per column, column 0 most significant) when the radix product fits,
+    else by their big-endian bytes.  Either way the order of the keys is
+    the lexicographic order of the rows.
+    """
+    cols = gens.shape[1]
+    radix = [int(m) + 1 for m in gens.max(axis=0)]
+    if math.prod(radix) > 2**63:
+        void = np.dtype((np.void, 2 * cols))
+
+        def encode(rows: np.ndarray) -> np.ndarray:
+            return np.ascontiguousarray(rows, dtype=">u2").view(void).ravel()
+
+        def decode(keys: np.ndarray) -> np.ndarray:
+            return keys.view(">u2").reshape(-1, cols).astype(np.int16)
+
+        def joins(keys: np.ndarray) -> np.ndarray:
+            rows = decode(keys)
+            return encode(np.maximum(rows[:, None, :], gens[None, :, :]))
+
+        return encode, decode, joins
+
+    place = np.array([math.prod(radix[j + 1 :]) for j in range(cols)], dtype=np.int64)
+    radix_arr = np.array(radix, dtype=np.int64)
+    scaled = gens * place  # max(x, y) * c = max(x * c, y * c) for c >= 0
+
+    def encode(rows: np.ndarray) -> np.ndarray:
+        return (rows * place).sum(axis=1)
+
+    def decode(keys: np.ndarray) -> np.ndarray:
+        return (keys[:, None] // place % radix_arr).astype(np.int16)
+
+    def joins(keys: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(keys), len(gens)), dtype=np.int64)
+        part = np.empty_like(out)
+        for j in range(cols):
+            digit = keys // place[j] % radix_arr[j] * place[j]
+            np.maximum(digit[:, None], scaled[None, :, j], out=part)
+            out += part
+        return out.ravel()
+
+    return encode, decode, joins
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    # np.unique hashes integer keys before sorting them, which is several
+    # times slower than one sort on the candidate blocks here
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
 def _lattice_matrix(gens: np.ndarray, lattice_cap: int) -> np.ndarray:
     """All exponentwise maxima of nonempty generator subsets, sorted rows.
 
     Closure under pairwise maximum with single generators reaches every
-    subset maximum, and each lattice element is expanded only once.
+    subset maximum, and each lattice element is expanded only once.  The
+    cap is checked after every block, so it trips inside the round that
+    crosses it.
     """
-    cols = gens.shape[1]
-    start = np.unique(gens, axis=0)
-    seen = {row.tobytes() for row in start}
-    chunks = [start]
-    frontier = start
-    total = len(start)
+    encode, decode, joins = _row_keys(gens)
+    seen = _sorted_unique(encode(gens))
+    if len(seen) > lattice_cap:
+        raise CapExceeded("lcm lattice size", lattice_cap, len(seen))
+    frontier = seen
+    block_rows = max(1, 2_000_000 // max(1, gens.size))
     while len(frontier):
-        block_rows = max(1, 2_000_000 // max(1, len(gens) * cols))
         fresh_parts = []
         for lo in range(0, len(frontier), block_rows):
-            block = frontier[lo : lo + block_rows]
-            cand = np.maximum(block[:, None, :], gens[None, :, :]).reshape(-1, cols)
-            cand = np.unique(cand, axis=0)
-            picks = [i for i, row in enumerate(cand) if row.tobytes() not in seen]
-            if picks:
-                fresh = cand[picks]
-                for row in fresh:
-                    seen.add(row.tobytes())
-                fresh_parts.append(fresh)
-        if not fresh_parts:
-            break
-        frontier = np.concatenate(fresh_parts, axis=0)
-        total += len(frontier)
-        if total > lattice_cap:
-            raise CapExceeded("lcm lattice size", lattice_cap, total)
-        chunks.append(frontier)
-    return np.unique(np.concatenate(chunks, axis=0), axis=0)
+            keys = _sorted_unique(joins(frontier[lo : lo + block_rows]))
+            fresh = keys[~np.isin(keys, seen, assume_unique=True)]
+            if not len(fresh):
+                continue
+            seen = np.insert(seen, np.searchsorted(seen, fresh), fresh)
+            if len(seen) > lattice_cap:
+                raise CapExceeded("lcm lattice size", lattice_cap, len(seen))
+            fresh_parts.append(fresh)
+        frontier = np.concatenate(fresh_parts) if fresh_parts else seen[:0]
+    return decode(seen)
 
 
 def lcm_lattice(
@@ -273,6 +336,57 @@ def clear_homology_cache() -> None:
         _CLASS_CACHE.clear()
 
 
+def _complex_classes(supp: np.ndarray, tights: np.ndarray, n: int):
+    """The relabelled maximal facets of the upper Koszul complexes of a block.
+
+    Row r of `tights` holds the tight vertex masks of the generators that
+    divide lattice point r, padded with supp[r] (the empty facet, which
+    never changes the maximal facets).  The facets are the complements in
+    supp of the minimal tight masks.  Yields (r, s, facets) for each row
+    whose complex is not a cone, with the facets relabelled onto
+    0..s-1 along the support and sorted: the key of `_class_ranks`.
+    """
+    t = np.sort(tights, axis=1)
+    # repeated masks become padding; masks are subsets of supp, so
+    # numerically at most supp, and padding sorts last
+    t[:, 1:] = np.where(t[:, 1:] == t[:, :-1], supp[:, None], t[:, 1:])
+    t.sort(axis=1)
+    count = (t < supp[:, None]).sum(axis=1)
+    order = np.argsort(count, kind="stable")
+    lo = 0
+    while lo < len(order):
+        # group rows of similar count so that rows * width^2 stays bounded
+        cost = np.arange(1, len(order) - lo + 1) * (count[order[lo:]] + 1) ** 2
+        hi = lo + max(1, int(np.searchsorted(cost, _BLOCK_CELLS, side="right")))
+        rows = order[lo:hi]
+        lo = hi
+        width = min(int(count[rows[-1]]) + 1, t.shape[1])
+        tt = t[rows, :width]
+        sp = supp[rows]
+        # in a sorted row a proper subset sits to the left, and of equal
+        # padding only the leftmost copy can be minimal
+        left_subset = ((tt[:, None, :] & ~tt[:, :, None]) == 0) & np.tri(
+            width, k=-1, dtype=bool
+        )
+        minimal = ~left_subset.any(axis=2)
+        # a vertex in no minimal tight mask lies in every maximal facet: cone
+        open_ = np.bitwise_or.reduce(np.where(minimal, tt, 0), axis=1) == sp
+        if not open_.any():
+            continue
+        rows, tt, sp, minimal = rows[open_], tt[open_], sp[open_], minimal[open_]
+        relabeled = np.zeros_like(tt)
+        below = np.zeros(len(rows), dtype=np.int64)  # support vertices below j
+        for j in range(n):
+            relabeled |= ((tt >> j) & 1) << below[:, None]
+            below += (sp >> j) & 1
+        full = (np.int64(1) << below) - 1
+        facets = np.where(minimal, full[:, None] ^ relabeled, np.iinfo(np.int64).max)
+        facets.sort(axis=1)
+        sizes = minimal.sum(axis=1)
+        for r, s, f, k in zip(rows.tolist(), below.tolist(), facets, sizes.tolist()):
+            yield r, s, tuple(f[:k].tolist())
+
+
 # -- Betti tables ----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -349,50 +463,29 @@ def betti_table(
     gens = _dense(ideal)
     n = ideal.ambient
     lattice = _lattice_matrix(gens, lattice_cap)
-    bitv = (np.int64(1) << np.arange(n, dtype=np.int64))
     entries: list[tuple[int, Monomial, int]] = []
 
-    chunk = max(1, 4_000_000 // max(1, len(gens) * n))
+    chunk = max(1, _BLOCK_CELLS // len(gens))
     for lo in range(0, len(lattice), chunk):
         block = lattice[lo : lo + chunk]
-        le = block[:, None, :]
-        ge = gens[None, :, :]
-        div = np.all(ge <= le, axis=2)
-        eq = ((ge == le) & (le > 0)).astype(np.int64)
-        tight = eq @ bitv
-        supp = ((block > 0).astype(np.int64)) @ bitv
-        for row in range(len(block)):
-            idx = np.nonzero(div[row])[0]
-            tights_here = tight[row, idx]
-            smask = int(supp[row])
-            if int(np.bitwise_or.reduce(tights_here)) != smask:
-                continue  # some vertex never tight: the complex is a cone
-            uniq = np.unique(tights_here)
-            allowed = smask ^ uniq  # tight subsets of supp, complemented
-            keep = []
-            for m in allowed:
-                mi = int(m)
-                if not any(mi != int(o) and mi & int(o) == mi for o in allowed):
-                    keep.append(mi)
-            inter = keep[0]
-            for m in keep[1:]:
-                inter &= m
-            if inter:
-                continue  # a common facet vertex: cone
-            bits = [b for b in range(n) if smask >> b & 1]
-            pos = {b: j for j, b in enumerate(bits)}
-            relabeled = []
-            for m in keep:
-                c = 0
-                b = m
-                while b:
-                    low = b & -b
-                    c |= 1 << pos[low.bit_length() - 1]
-                    b ^= low
-                relabeled.append(c)
-            ranks = _class_ranks(len(bits), tuple(sorted(relabeled)), field.p)
+        # divisibility and tight-vertex masks, one variable at a time
+        div = np.ones((len(block), len(gens)), dtype=bool)
+        tight = np.zeros((len(block), len(gens)), dtype=np.int64)
+        supp = np.zeros(len(block), dtype=np.int64)
+        for j in range(n):
+            le = block[:, j, None]
+            ge = gens[None, :, j]
+            div &= ge <= le
+            np.bitwise_or(tight, np.int64(1) << j, out=tight, where=ge == le)
+            supp |= (block[:, j] > 0).astype(np.int64) << j
+        tight = np.where(div, tight & supp[:, None], 0)  # tight vertices of divisors
+        # a vertex tight for no divisor lies in every facet: the complex is a cone
+        live = np.flatnonzero(np.bitwise_or.reduce(tight, axis=1) == supp)
+        padded = np.where(div[live], tight[live], supp[live, None])
+        for row, s, facets in _complex_classes(supp[live], padded, n):
+            ranks = _class_ranks(s, facets, field.p)
             if ranks:
-                a = Monomial.from_dense(block[row], n)
+                a = Monomial.from_dense(block[live[row]], n)
                 for i, h in ranks.items():
                     entries.append((i, a, h))
 

@@ -83,6 +83,16 @@ def _add_field_options(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _resolve_chain(args: argparse.Namespace):
     chain = load_chain(args.chainfile)
     if getattr(args, "saturation", False):
@@ -97,6 +107,7 @@ def _field(args: argparse.Namespace) -> FieldSpec:
 
 
 def cmd_invariants(args: argparse.Namespace) -> int:
+    field = _field(args)
     chain = _resolve_chain(args)
     inv = chain_invariants(chain, horizon=args.horizon)
     payload = {
@@ -105,7 +116,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
         "q": inv.q,
         "quasi_saturated": inv.quasi_saturated,
         "lambda_maximal": inv.lambda_maximal,
-        "char": args.char,
+        "char": field.p,
         "lambda_certificate": inv.lambda_certificate,
         "lambda_exact": inv.lambda_exact,
         "saturated_window": inv.saturated_window,
@@ -298,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_series.add_argument("--from", dest="start", type=int, required=True)
     p_series.add_argument("--to", dest="end", type=int, required=True)
     p_series.add_argument("--budget", type=float, default=None, metavar="SECONDS")
-    p_series.add_argument("--jobs", type=int, default=1)
+    p_series.add_argument("--jobs", type=_positive_int, default=1)
     _add_field_options(p_series)
     p_series.set_defaults(func=cmd_series)
 
@@ -326,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_explore.add_argument("--seed", type=int, default=0)
     p_explore.add_argument("--horizon", type=int, default=6)
     p_explore.add_argument("--budget", type=float, default=None)
-    p_explore.add_argument("--jobs", type=int, default=1)
+    p_explore.add_argument("--jobs", type=_positive_int, default=1)
     _add_field_options(p_explore)
     p_explore.set_defaults(func=cmd_explore)
 

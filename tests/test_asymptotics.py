@@ -73,6 +73,8 @@ def test_series_window_validation(squares_chain):
         series(squares_chain, "pd", 0, 3)
     with pytest.raises(ValueError):
         series(squares_chain, "nope", 1, 3)
+    with pytest.raises(ValueError):
+        series(squares_chain, "pd", 1, 3, jobs=0)
 
 
 def test_series_parallel_matches_serial(mixed_squares_chain):

@@ -11,15 +11,21 @@ from incideals import (
     ImproperIdeal,
     Monomial,
     MonomialIdeal,
+    RandomChainParams,
+    SaturationChain,
     betti_table,
     euler_consistency,
     homology_ranks,
     koszul_complex,
+    lcm,
     lcm_lattice,
     pd,
+    random_chain,
     reg,
     reg_colon_bounds_check,
+    term,
 )
+from incideals.betti import _dense, _row_keys
 from conftest import ideal, mono
 
 
@@ -44,22 +50,61 @@ def test_lcm_lattice_golden():
     assert lat == {mono([(1, 2)], 2), mono([(2, 2)], 2), mono([(1, 2), (2, 2)], 2)}
 
 
+def corpus_chain(seed_val):
+    # the random-chain recipe of the acceptance corpus
+    k = seed_val % 1000
+    return random_chain(
+        RandomChainParams(
+            index=(k % 3) + 1,
+            num_gens=min(3, (k % 3) + 1 + (k % 2)),
+            max_exponent=2,
+            max_degree=4,
+            seed=seed_val,
+        )
+    )
+
+
+def subset_lcms(J):
+    out = set()
+    for k in range(1, len(J.gens) + 1):
+        for sub in itertools.combinations(J.gens, k):
+            acc = sub[0]
+            for g in sub[1:]:
+                acc = lcm(acc, g)
+            out.add(acc)
+    return out
+
+
+def wide_ideal():
+    # 8 generators in 40 variables, each variable squared in one of them:
+    # the radix product 3^40 exceeds int64, so rows are keyed by bytes
+    rng = random.Random(5)
+    gens = []
+    for i in range(8):
+        exps = [2 if v % 8 == i else rng.randint(0, 1) for v in range(40)]
+        gens.append(Monomial.from_dense(exps, 40))
+    return MonomialIdeal.from_gens(tuple(gens), 40)
+
+
 def test_lcm_lattice_matches_subset_enumeration():
     rng = random.Random(21)
+    cases = []
     for _ in range(20):
         J = random_ideal(rng)
-        if not J.is_proper:
-            continue
-        expected = set()
-        for k in range(1, len(J.gens) + 1):
-            for sub in itertools.combinations(J.gens, k):
-                acc = sub[0]
-                for g in sub[1:]:
-                    from incideals import lcm
-
-                    acc = lcm(acc, g)
-                expected.add(acc)
-        assert lcm_lattice(J) == expected, J
+        if J.is_proper:
+            cases.append(J)
+    for seed in (1004, 1010, 1011, 1014, 1017, 1023):
+        for chain in (corpus_chain(seed), SaturationChain(corpus_chain(seed))):
+            for n in range(chain.index, 8):
+                J = term(chain, n)
+                if 6 <= len(J.gens) <= 10:
+                    cases.append(J)
+    assert sum(len(J.gens) >= 6 for J in cases) >= 15
+    wide = wide_ideal()
+    assert _row_keys(_dense(wide))[0](_dense(wide)).dtype.kind == "V"
+    cases.append(wide)
+    for J in cases:
+        assert lcm_lattice(J, gen_cap=None) == subset_lcms(J), J
 
 
 def test_lcm_lattice_gen_cap():
@@ -167,6 +212,32 @@ def test_betti_gen_cap_raises():
 def test_lattice_cap_raises():
     with pytest.raises(CapExceeded):
         betti_table(squares(5), lattice_cap=10)
+
+
+def test_lattice_cap_trips_within_the_crossing_round():
+    # The lattice of squares(20) is every nonempty subset of 20 variables;
+    # closure round k adds the (k+1)-subsets.  The 1..5-subsets number
+    # 21699, the 6-subsets 38760.  The round from the 15504 5-subsets runs
+    # in several blocks, and the cap must stop it before it ends.
+    with pytest.raises(CapExceeded) as exc:
+        lcm_lattice(squares(20), gen_cap=None, lattice_cap=21_700)
+    assert 21_700 < exc.value.actual < 21_699 + 38_760
+
+
+@pytest.mark.parametrize("p", [2, 32003])
+def test_betti_matches_koszul_homology_on_chain_terms(p):
+    field = FieldSpec(p)
+    for seed in (1011, 1014, 1016):
+        chain = SaturationChain(corpus_chain(seed))
+        for n in range(chain.index, 8):
+            J = term(chain, n)
+            got = {(i, a): v for i, a, v in betti_table(J, field, gen_cap=None).entries}
+            ref = {}
+            for a in lcm_lattice(J, gen_cap=None):
+                for i, h in homology_ranks(koszul_complex(J, a), field).items():
+                    if h:
+                        ref[(i + 1, a)] = h
+            assert got == ref, (seed, n, p)
 
 
 def test_char_dependence_shows_up():

@@ -150,3 +150,76 @@ def test_usage_error_exit():
 def test_composite_char_rejected(squares_file, capsys):
     rc = main(["betti", squares_file, "--n", "2", "--char", "32004"])
     assert rc == 1
+
+
+def test_betti_huge_exponent_exit(tmp_path, capsys):
+    p = tmp_path / "huge.chain"
+    p.write_text("index 2\ngen x1^40000*x2\n")
+    rc = main(["betti", str(p), "--n", "2"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "exponent 40000" in err and "Traceback" not in err
+
+
+def test_invariants_composite_char_rejected(mixed_file, capsys):
+    rc = main(["invariants", mixed_file, "--char", "4"])
+    assert rc == 1
+    assert "prime" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("horizon,line", [(3, "NA   pd_linearity"), (4, "PASS pd_linearity")])
+def test_verify_pd_short_window(tmp_path, capsys, horizon, line):
+    # pd along <x1x2x3, x3^2> is 1, 3, 4, 5, 6, ...: the affine tail needs
+    # the fifth point
+    p = tmp_path / "short.chain"
+    p.write_text("index 3\ngen x1*x2*x3\ngen x3^2\n")
+    rc = main(["verify", str(p), "--check", "pd", "--horizon", str(horizon)])
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert out[0].startswith(line)
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the worker count, runs inline."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_jobs_clamped_to_widths_and_cpus(squares_file, monkeypatch, capsys):
+    import incideals.asymptotics as asymptotics
+
+    RecordingPool.sizes = []
+    monkeypatch.setattr(asymptotics, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(asymptotics.os, "cpu_count", lambda: 4)
+    series_argv = ["series", squares_file, "--metric", "pd", "--from", "1", "--to"]
+    assert main(series_argv + ["3", "--jobs", "1000000"]) == 0
+    assert main(series_argv + ["9", "--jobs", "1000000"]) == 0
+    explore_argv = ["explore", "--count", "1", "--index", "2", "--gens", "2",
+                    "--max-exponent", "2", "--max-degree", "3", "--seed", "11",
+                    "--horizon", "5", "--jobs", "1000000"]
+    assert main(explore_argv) == 0
+    assert RecordingPool.sizes == [3, 4, 4, 4]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["series", "explore"])
+def test_jobs_below_one_rejected(squares_file, command):
+    argv = {
+        "series": ["series", squares_file, "--metric", "pd", "--from", "1", "--to", "3"],
+        "explore": ["explore", "--count", "1"],
+    }[command]
+    with pytest.raises(SystemExit) as e:
+        main(argv + ["--jobs", "0"])
+    assert e.value.code == 2
