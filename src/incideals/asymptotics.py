@@ -12,6 +12,7 @@ import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -172,31 +173,25 @@ def series(
     truncated: str | None = None
     widths = range(n_from, n_to + 1)
     jobs = min(jobs, len(widths), os.cpu_count() or 1)
-    if jobs > 1:
-        work = [
-            (chain, n, metric, field, gen_cap, lattice_cap) for n in widths
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for n, value, fail in pool.map(_series_point, work):
-                if fail is not None:
-                    truncated = fail
-                    break
-                values.append((n, value))
-    else:
-        for n in widths:
-            t0 = time.perf_counter()
-            try:
-                value = _metric_value(
-                    term(chain, n), metric, field, gen_cap, lattice_cap
-                )
-            except CapExceeded as exc:
-                truncated = str(exc)
+    work = [(chain, n, metric, field, gen_cap, lattice_cap) for n in widths]
+    with ExitStack() as stack:
+        if jobs > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            points = pool.map(_series_point, work)
+            budget = None
+        else:
+            points = map(_series_point, work)  # lazy: each width is timed alone
+        t0 = time.perf_counter()
+        for n, value, fail in points:
+            if fail is not None:
+                truncated = fail
                 break
             values.append((n, value))
             if budget is not None and time.perf_counter() - t0 > budget:
                 if n < n_to:
                     truncated = f"budget: width {n} took over {budget:g}s"
                 break
+            t0 = time.perf_counter()
     fit = detect_linear(values) if len(values) >= 2 else None
     status = "linear" if fit is not None else "undetermined"
     return SeriesReport(

@@ -24,22 +24,24 @@ are cross-checked in the test suite against the reference path in
   dual is eliminated, whichever has fewer faces, using
   dim H~_{i-1}(D) = dim H~_{s-i-2}(dual D) over a field.
 
-Results for isomorphic complexes are cached by their relabeled facet sets,
-which collapses the many repeated orbit patterns along a chain.
+Both caches are ``functools.lru_cache``s: the homology ranks of a complex
+class, keyed by its relabeled facet set, so that the many repeated orbit
+patterns along a chain are eliminated once (up to 65536 classes), and
+whole tables, keyed by (ideal, p, lattice_cap) (up to 256 tables).  Their
+``cache_info()`` reports hits and misses.
 """
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import CapExceeded, ImproperIdeal
 from .gflinalg import DEFAULT_FIELD, FieldSpec, gf_rank
 from .monomials import Monomial, MonomialIdeal
-from .simplicial import SimplicialComplex
+from .simplicial import SimplicialComplex, face_closure
 
 __all__ = [
     "BettiTable",
@@ -63,21 +65,9 @@ _BLOCK_CELLS = 1 << 18  # int64 cells per classification temporary; bounds peak 
 
 # -- bit utilities ---------------------------------------------------------
 
-_np_popcount = getattr(np, "bitwise_count", None)
-_POP16: np.ndarray | None = None
-
-
 def _popcount(arr: np.ndarray) -> np.ndarray:
-    if _np_popcount is not None:
-        return _np_popcount(arr).astype(np.int64)
-    global _POP16
-    if _POP16 is None:
-        _POP16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.int64)
-    a = arr.astype(np.uint64)
-    out = np.zeros(a.shape, dtype=np.int64)
-    for shift in (0, 16, 32, 48):
-        out += _POP16[((a >> np.uint64(shift)) & np.uint64(0xFFFF)).astype(np.int64)]
-    return out
+    # int64: the uint8 counts would wrap in the sign arithmetic downstream
+    return np.bitwise_count(arr).astype(np.int64)
 
 
 _MAX_EXPONENT = int(np.iinfo(np.int16).max)
@@ -226,24 +216,6 @@ def koszul_complex(ideal: MonomialIdeal, a: Monomial) -> SimplicialComplex:
 
 # -- homology of a facet class ---------------------------------------------
 
-def _subset_closure(facets: tuple[int, ...]) -> set[int]:
-    closed: set[int] = set()
-    stack = list(facets)
-    while stack:
-        f = stack.pop()
-        if f in closed:
-            continue
-        closed.add(f)
-        b = f
-        while b:
-            low = b & -b
-            child = f ^ low
-            if child not in closed:
-                stack.append(child)
-            b ^= low
-    return closed
-
-
 def _independent_sets(s: int, tights: tuple[int, ...], cap: int) -> set[int] | None:
     """Subsets of [s] containing no tight set; None once more than `cap`."""
     out: set[int] = {0}
@@ -301,39 +273,21 @@ def _ranks_from_faces(faces: set[int], s: int, p: int) -> dict[int, int]:
     return out
 
 
-_CLASS_CACHE: dict[tuple, dict[int, int]] = {}
-_CLASS_LOCK = threading.Lock()
-
-
+@lru_cache(maxsize=1 << 16)
 def _class_ranks(s: int, facets: tuple[int, ...], p: int) -> dict[int, int]:
     """Betti contributions {i: dim} for a complex given by maximal facets.
 
     The complex lives on s relabeled vertices; level i corresponds to
     H~_{i-1}.  Chooses between the complex and its Alexander dual by face
-    count; ranks are cached per (facets, p).
+    count; ranks are cached per (s, facets, p).
     """
-    key = (s, facets, p)
-    with _CLASS_LOCK:
-        hit = _CLASS_CACHE.get(key)
-    if hit is not None:
-        return hit
-    direct = _subset_closure(facets)
+    direct = face_closure(facets)
     full = (1 << s) - 1
     tights = tuple(sorted(full ^ f for f in facets))
     dual = _independent_sets(s, tights, cap=len(direct) - 1)
-    if dual is not None:
-        dual_ranks = _ranks_from_faces(dual, s, p)
-        ranks = {s - k - 1: h for k, h in dual_ranks.items()}
-    else:
-        ranks = _ranks_from_faces(direct, s, p)
-    with _CLASS_LOCK:
-        _CLASS_CACHE[key] = ranks
-    return ranks
-
-
-def clear_homology_cache() -> None:
-    with _CLASS_LOCK:
-        _CLASS_CACHE.clear()
+    if dual is None:
+        return _ranks_from_faces(direct, s, p)
+    return {s - k - 1: h for k, h in _ranks_from_faces(dual, s, p).items()}
 
 
 def _complex_classes(supp: np.ndarray, tights: np.ndarray, n: int):
@@ -412,25 +366,11 @@ class BettiTable:
         """max(|a| - i) over the nonzero Betti numbers."""
         return max(a.degree - i for i, a, _ in self.entries)
 
-    def total(self, i: int) -> int:
-        return sum(v for j, _, v in self.entries if j == i)
-
     def totals(self) -> dict[int, int]:
         acc: dict[int, int] = {}
         for i, _, v in self.entries:
             acc[i] = acc.get(i, 0) + v
         return acc
-
-    def degrees(self, i: int | None = None) -> list[Monomial]:
-        return sorted(
-            {a for j, a, _ in self.entries if i is None or j == i},
-            key=Monomial.sort_key,
-        )
-
-
-_TABLE_CACHE: dict[tuple, BettiTable] = {}
-_TABLE_LOCK = threading.Lock()
-_TABLE_CACHE_MAX = 256
 
 
 def betti_table(
@@ -454,12 +394,12 @@ def betti_table(
         raise CapExceeded("ambient width", _MAX_AMBIENT, ideal.ambient)
     if gen_cap is not None and len(ideal.gens) > gen_cap:
         raise CapExceeded("betti generators", gen_cap, len(ideal.gens))
-    key = (ideal, field.p, lattice_cap)
-    with _TABLE_LOCK:
-        hit = _TABLE_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return _table(ideal, field.p, lattice_cap)
 
+
+@lru_cache(maxsize=256)
+def _table(ideal: MonomialIdeal, p: int, lattice_cap: int) -> BettiTable:
+    """The Betti table of a validated ideal, cached per (ideal, p, lattice_cap)."""
     gens = _dense(ideal)
     n = ideal.ambient
     lattice = _lattice_matrix(gens, lattice_cap)
@@ -483,19 +423,14 @@ def betti_table(
         live = np.flatnonzero(np.bitwise_or.reduce(tight, axis=1) == supp)
         padded = np.where(div[live], tight[live], supp[live, None])
         for row, s, facets in _complex_classes(supp[live], padded, n):
-            ranks = _class_ranks(s, facets, field.p)
+            ranks = _class_ranks(s, facets, p)
             if ranks:
                 a = Monomial.from_dense(block[live[row]], n)
                 for i, h in ranks.items():
                     entries.append((i, a, h))
 
     entries.sort(key=lambda t: (t[0], t[1].sort_key()))
-    table = BettiTable(tuple(entries), field.p, n)
-    with _TABLE_LOCK:
-        if len(_TABLE_CACHE) >= _TABLE_CACHE_MAX:
-            _TABLE_CACHE.clear()
-        _TABLE_CACHE[key] = table
-    return table
+    return BettiTable(tuple(entries), p, n)
 
 
 def pd(

@@ -131,38 +131,19 @@ def _orbit(u: Monomial, m: int, n: int, symmetry: Symmetry) -> frozenset[Monomia
     return sym_orbit(u, n)
 
 
-def _orbit_within(u: Monomial, m: int, n: int, symmetry: Symmetry) -> frozenset[Monomial]:
-    """Images under maps [m] -> [N] (N arbitrary) that land inside [n].
+def _orbit_within(u: Monomial, n: int, symmetry: Symmetry) -> frozenset[Monomial]:
+    """Images of u under the chain's maps into any width that land inside [n].
 
-    For the increasing case this drops the room-above-c_k constraint of
-    inc_orbit; for the symmetric case it coincides with sym_orbit.
+    In the increasing case, viewing u at the width of its own support
+    reserves no room above it; in the symmetric case this is sym_orbit.
     """
     if symmetry is Symmetry.SYM:
-        if len(u.support) > n:
-            return frozenset()
-        return sym_orbit(u, n)
-    supp = u.support
-    if not supp:
+        return sym_orbit(u, n) if len(u.support) <= n else frozenset()
+    if u.is_one:
         return frozenset({Monomial.one(n)})
-    if len(supp) > n:
+    if u.maxsupp > n:
         return frozenset()
-    exps = [e for _, e in u.exps]
-    k = len(supp)
-    out: set[Monomial] = set()
-
-    def place(idx: int, prefix: list[int]) -> None:
-        if idx == k:
-            out.add(Monomial(tuple(zip(prefix, exps)), n))
-            return
-        lo = supp[0] if idx == 0 else prefix[-1] + (supp[idx] - supp[idx - 1])
-        hi = n - (supp[-1] - supp[idx])
-        for c in range(lo, hi + 1):
-            prefix.append(c)
-            place(idx + 1, prefix)
-            prefix.pop()
-
-    place(0, [])
-    return frozenset(out)
+    return inc_orbit(Monomial(u.exps, u.maxsupp), u.maxsupp, n)
 
 
 # -- chain families --------------------------------------------------------
@@ -181,7 +162,11 @@ class OrbitChain:
     symmetry: Symmetry = Symmetry.INC
     head: tuple[MonomialIdeal, ...] = ()
 
-    saturated_by_construction = False
+    @property
+    def saturated_by_construction(self) -> bool:
+        # from the index on, a Sym term holds every injective image of the
+        # seed inside [n]: the limit ideal cut back to width n
+        return self.symmetry is Symmetry.SYM
 
     def __post_init__(self) -> None:
         if self.index < 1:
@@ -257,7 +242,7 @@ class SaturationChain:
     def _compute_term(self, n: int) -> MonomialIdeal:
         gens: list[Monomial] = []
         for g in self.base.seed.gens:
-            gens.extend(_orbit_within(g, self.base.index, n, self.base.symmetry))
+            gens.extend(_orbit_within(g, n, self.base.symmetry))
         if not gens:
             return MonomialIdeal.zero(n)
         return minimalize(gens, n)

@@ -15,6 +15,7 @@ import json
 import sys
 
 from .asymptotics import (
+    SERIES_METRICS,
     RandomChainParams,
     check_betti_propagation,
     check_colon_filtration,
@@ -301,11 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_series = subs.add_parser("series", help="invariant series over a window")
     _add_chain_options(p_series)
-    p_series.add_argument(
-        "--metric",
-        required=True,
-        choices=("pd", "reg", "gens", "betti_total", "ass_primes"),
-    )
+    p_series.add_argument("--metric", required=True, choices=SERIES_METRICS)
     p_series.add_argument("--from", dest="start", type=int, required=True)
     p_series.add_argument("--to", dest="end", type=int, required=True)
     p_series.add_argument("--budget", type=float, default=None, metavar="SECONDS")

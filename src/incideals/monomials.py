@@ -26,9 +26,7 @@ __all__ = [
     "MonomialIdeal",
     "IdealWeights",
     "lcm",
-    "divides",
     "minimalize",
-    "membership",
     "colon_stable_exponent",
     "hilbert_count",
     "q_invariant",
@@ -214,10 +212,6 @@ def lcm(u: Monomial, v: Monomial) -> Monomial:
     return Monomial(tuple(sorted(acc.items())), u.ambient)
 
 
-def divides(u: Monomial, v: Monomial) -> bool:
-    return u.divides(v)
-
-
 def _minimal_monomials(monomials: Iterable[Monomial]) -> list[Monomial]:
     """Minimal elements under divisibility, sorted by (degree, exponents).
 
@@ -400,10 +394,6 @@ class MonomialIdeal:
 def minimalize(monomials: Iterable[Monomial], ambient: int | None = None) -> MonomialIdeal:
     """The ideal generated by the given monomials, minimally presented."""
     return MonomialIdeal.from_gens(monomials, ambient)
-
-
-def membership(u: Monomial, ideal: MonomialIdeal) -> bool:
-    return ideal.contains(u)
 
 
 def colon_stable_exponent(ideal: MonomialIdeal, k: int) -> int:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .gflinalg import DEFAULT_FIELD, FieldSpec, gf_rank
 
-__all__ = ["SimplicialComplex", "homology_ranks", "alexander_dual"]
+__all__ = ["SimplicialComplex", "face_closure", "homology_ranks", "alexander_dual"]
 
 
 def _mask_of(face: Iterable[int], position: dict[int, int]) -> int:
@@ -28,6 +28,25 @@ def _mask_of(face: Iterable[int], position: dict[int, int]) -> int:
     for v in face:
         m |= 1 << position[v]
     return m
+
+
+def face_closure(masks: Iterable[int]) -> set[int]:
+    """All subsets of the given faces (bitmasks), the faces included."""
+    closed: set[int] = set()
+    stack = list(set(masks))
+    while stack:
+        f = stack.pop()
+        if f in closed:
+            continue
+        closed.add(f)
+        b = f
+        while b:
+            low = b & -b
+            child = f ^ low
+            if child not in closed:
+                stack.append(child)
+            b ^= low
+    return closed
 
 
 @dataclass(frozen=True)
@@ -66,26 +85,8 @@ class SimplicialComplex:
         return cls.from_facets_masks(masks, universe)
 
     @classmethod
-    def from_facets(cls, facets: Iterable[Iterable[int]], vertices: Iterable[int]) -> SimplicialComplex:
-        return cls.from_faces(facets, vertices)
-
-    @classmethod
     def from_facets_masks(cls, masks: Iterable[int], vertices: tuple[int, ...]) -> SimplicialComplex:
-        closed: set[int] = set()
-        stack = list(set(masks))
-        while stack:
-            f = stack.pop()
-            if f in closed:
-                continue
-            closed.add(f)
-            b = f
-            while b:
-                low = b & -b
-                child = f ^ low
-                if child not in closed:
-                    stack.append(child)
-                b ^= low
-        return cls(vertices, frozenset(closed))
+        return cls(vertices, frozenset(face_closure(masks)))
 
     @classmethod
     def void(cls, vertices: Iterable[int] = ()) -> SimplicialComplex:
@@ -122,12 +123,6 @@ class SimplicialComplex:
             if not acc:
                 return False
         return bool(acc)
-
-    def face_sets(self) -> list[tuple[int, ...]]:
-        out = []
-        for f in sorted(self.faces):
-            out.append(tuple(self.vertices[b] for b in range(len(self.vertices)) if f >> b & 1))
-        return out
 
 
 def boundary_matrix(complex_: SimplicialComplex, k: int) -> np.ndarray:

@@ -68,6 +68,13 @@ def test_series_truncates_on_cap(mixed_squares_chain):
     assert rep.status in ("linear", "undetermined")
 
 
+def test_series_budget_truncates(squares_chain):
+    # every width takes longer than a zero budget, so only the first is kept
+    rep = series(squares_chain, "pd", 1, 4, budget=0.0)
+    assert rep.values == ((1, 0),)
+    assert rep.truncated.startswith("budget: width 1")
+
+
 def test_series_window_validation(squares_chain):
     with pytest.raises(ValueError):
         series(squares_chain, "pd", 0, 3)

@@ -109,10 +109,23 @@ def test_two_block_chain_terms(two_block_chain):
     assert all(g.degree == 2 for g in i8.gens)
 
 
-def test_saturation_terms_match_restriction(mixed_squares_chain):
-    s = saturation(mixed_squares_chain)
-    for n in range(1, 9):
-        assert term(s, n) == term(mixed_squares_chain, n + 3).restrict(n)
+@pytest.mark.parametrize(
+    "chain,top",
+    [
+        ("mixed_squares_chain", 8),
+        ("two_block_chain", 7),
+        (OrbitChain(seed=ideal([[(2, 1), (4, 1)]], 4), index=4), 8),
+        (OrbitChain(seed=ideal([[(3, 2)]], 3), index=3), 8),
+    ],
+    ids=["mixed_squares", "two_block", "support_gap", "last_variable_only"],
+)
+def test_saturation_terms_match_restriction(request, chain, top):
+    # widths start at 1, below every index
+    if isinstance(chain, str):
+        chain = request.getfixturevalue(chain)
+    s = saturation(chain)
+    for n in range(1, top + 1):
+        assert term(s, n) == term(chain, n + chain.index).restrict(n), n
         assert saturated_truncation(s, n) == term(s, n)
 
 

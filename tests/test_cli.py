@@ -7,6 +7,7 @@ from incideals.cli import main
 MIXED = "index 3\ngen x1^2\ngen x2^2*x3\ngen x3^2\n"
 SQUARES = "index 1\ngen x1^2\n"
 POWER = "index 2\ngen x1*x2^2\ngen x2^3\n"
+SYM = "index 3\nsymmetry sym\ngen x1^2*x2\ngen x1*x2*x3\n"
 
 
 @pytest.fixture
@@ -20,6 +21,13 @@ def mixed_file(tmp_path):
 def squares_file(tmp_path):
     p = tmp_path / "squares.chain"
     p.write_text(SQUARES)
+    return str(p)
+
+
+@pytest.fixture
+def sym_file(tmp_path):
+    p = tmp_path / "sym.chain"
+    p.write_text(SYM)
     return str(p)
 
 
@@ -73,6 +81,15 @@ def test_series_cap_exit_code(mixed_file, capsys):
     assert rc == 3
     assert any(line.startswith("# truncated") for line in out)
     assert "3,2" in out  # partial values still printed
+
+
+def test_series_budget_exit_code(squares_file, capsys):
+    rc = main(["series", squares_file, "--metric", "pd", "--from", "1", "--to", "4",
+               "--budget", "0"])
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 3
+    assert "1,0" in out and "2,1" not in out
+    assert "# truncated budget: width 1 took over 0s" in out
 
 
 def test_series_deterministic(squares_file, capsys):
@@ -165,6 +182,21 @@ def test_invariants_composite_char_rejected(mixed_file, capsys):
     rc = main(["invariants", mixed_file, "--char", "4"])
     assert rc == 1
     assert "prime" in capsys.readouterr().err
+
+
+def test_invariants_sym_chain(sym_file, capsys):
+    rc = main(["invariants", sym_file])
+    data = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert data["saturated_window"] is True
+    assert data["lambda_certificate"] == "reached_w"
+
+
+def test_verify_pd_sym_chain(sym_file, capsys):
+    # a Sym term from the index on is the limit ideal cut to its width
+    rc = main(["verify", sym_file, "--check", "pd"])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("PASS pd_linearity")
 
 
 @pytest.mark.parametrize("horizon,line", [(3, "NA   pd_linearity"), (4, "PASS pd_linearity")])
