@@ -13,11 +13,12 @@ ones shifted by a pure power of the newest variable.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .errors import AmbientMismatch, ImproperIdeal
+from .errors import AmbientMismatch, CapExceeded, ImproperIdeal
 from .monomials import (
     Monomial,
     MonomialIdeal,
@@ -42,7 +43,14 @@ __all__ = [
     "chain_invariants",
     "colon_filtration",
     "colon_filtration_term",
+    "ORBIT_CAP",
+    "HORIZON_CAP",
 ]
+
+#: Most placements or injections an orbit enumeration may walk.
+ORBIT_CAP = 10**6
+#: Widest window of widths chain_invariants may sample.
+HORIZON_CAP = 64
 
 
 class Symmetry(str, Enum):
@@ -55,37 +63,22 @@ class Symmetry(str, Enum):
 def inc_orbit(u: Monomial, m: int, n: int) -> frozenset[Monomial]:
     """Images of u under strictly increasing maps [m] -> [n].
 
-    Enumerates image supports directly: positions c_1 < ... < c_k with
-    c_1 >= i_1, gaps at least those of the original support, and enough
-    room above c_k to place the remaining m - i_k source points.
+    Such a map moves the support points i_1 < ... < i_k to i_j + d_j with
+    0 <= d_1 <= ... <= d_k <= n - m, so the images are the C(n - m + k, k)
+    multisets of shifts; more than ORBIT_CAP raise CapExceeded.
     """
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     if u.ambient > m:
         raise AmbientMismatch(f"{u!r} does not live in width {m}")
-    supp = u.support
-    if not supp:
-        return frozenset({Monomial.one(n)})
-    exps = [e for _, e in u.exps]
-    k = len(supp)
-    last_limit = n - (m - supp[-1])
-    out: set[Monomial] = set()
-
-    def place(idx: int, prefix: list[int]) -> None:
-        if idx == k:
-            out.add(
-                Monomial(tuple(zip(prefix, exps)), n)
-            )
-            return
-        lo = supp[0] if idx == 0 else prefix[-1] + (supp[idx] - supp[idx - 1])
-        hi = last_limit - (supp[-1] - supp[idx])
-        for c in range(lo, hi + 1):
-            prefix.append(c)
-            place(idx + 1, prefix)
-            prefix.pop()
-
-    place(0, [])
-    return frozenset(out)
+    k = len(u.exps)
+    placements = math.comb(n - m + k, k)
+    if placements > ORBIT_CAP:
+        raise CapExceeded("inc orbit placements", ORBIT_CAP, placements)
+    return frozenset(
+        Monomial(tuple((i + d, e) for (i, e), d in zip(u.exps, shifts)), n)
+        for shifts in itertools.combinations_with_replacement(range(n - m + 1), k)
+    )
 
 
 def _shift_above(u: Monomial, j: int) -> Monomial:
@@ -113,10 +106,16 @@ def inc_orbit_by_shifts(u: Monomial, m: int, n: int) -> frozenset[Monomial]:
 
 
 def sym_orbit(u: Monomial, n: int) -> frozenset[Monomial]:
-    """Images of u under all injections of its support into [n]."""
+    """Images of u under all injections of its support into [n].
+
+    Walks all n!/(n-k)! injections; more than ORBIT_CAP raise CapExceeded.
+    """
     supp = u.support
     if len(supp) > n:
         raise ValueError(f"{u!r} has support wider than {n}")
+    injections = math.perm(n, len(supp))
+    if injections > ORBIT_CAP:
+        raise CapExceeded("sym orbit injections", ORBIT_CAP, injections)
     exps = [e for _, e in u.exps]
     out: set[Monomial] = set()
     for targets in itertools.permutations(range(1, n + 1), len(supp)):
@@ -352,8 +351,9 @@ def chain_invariants(chain: Chain, horizon: int | None = None) -> ChainInvariant
     """Sample terms over a window and report the chain's limit weights.
 
     The window is [index, index + horizon], horizon defaulting to
-    2 * delta(seed) + 4.  Certificates, in order of strength: reached_w,
-    saturated, stable_tail, inconclusive.
+    2 * delta(seed) + 4; a horizon above HORIZON_CAP raises CapExceeded
+    before any term is built.  Certificates, in order of strength:
+    reached_w, saturated, stable_tail, inconclusive.
 
     The quasi-saturation flag compares widths index and index + 1, so it
     trusts the declared index to be the width where the chain actually
@@ -368,6 +368,8 @@ def chain_invariants(chain: Chain, horizon: int | None = None) -> ChainInvariant
     h = horizon if horizon is not None else 2 * wts.delta + 4
     if h < 1:
         raise ValueError("horizon must be at least 1")
+    if h > HORIZON_CAP:
+        raise CapExceeded("invariants horizon", HORIZON_CAP, h)
 
     lam_vals = []
     sat_ok = chain.saturated_by_construction

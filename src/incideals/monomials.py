@@ -89,8 +89,8 @@ class Monomial:
 
     @classmethod
     def from_dense(cls, vector: Iterable[int], ambient: int | None = None) -> Monomial:
-        vec = list(vector)
-        exps = tuple((i + 1, int(e)) for i, e in enumerate(vec) if e)
+        vec = list(map(int, vector))
+        exps = tuple(pair for pair in enumerate(vec, 1) if pair[1])
         return cls(exps, len(vec) if ambient is None else ambient)
 
     # -- basic queries ------------------------------------------------
@@ -464,11 +464,16 @@ def q_invariant(ideal: MonomialIdeal, cap: int = HILBERT_ENUMERATION_CAP) -> int
     """Sum of the Hilbert function of R_p/(I /\\ R_p) up to the top generator degree.
 
     Here p is the largest variable index used by I.  The unit ideal gets 0;
-    the zero ideal is rejected.
+    the zero ideal is rejected.  The degrees 0..delta hold C(delta + p, p)
+    candidate monomials in all; more than `cap` raise CapExceeded before
+    any is enumerated.
     """
     if ideal.is_zero:
         raise ImproperIdeal("q is undefined for the zero ideal")
     if ideal.is_unit:
         return 0
     p = ideal.maxsupp
+    candidates = comb(ideal.delta + p, p)
+    if candidates > cap:
+        raise CapExceeded("q_invariant candidates", cap, candidates)
     return sum(hilbert_count(ideal, p, j, cap) for j in range(ideal.delta + 1))

@@ -33,19 +33,13 @@ def _mask_of(face: Iterable[int], position: dict[int, int]) -> int:
 def face_closure(masks: Iterable[int]) -> set[int]:
     """All subsets of the given faces (bitmasks), the faces included."""
     closed: set[int] = set()
-    stack = list(set(masks))
-    while stack:
-        f = stack.pop()
-        if f in closed:
-            continue
-        closed.add(f)
-        b = f
-        while b:
-            low = b & -b
-            child = f ^ low
-            if child not in closed:
-                stack.append(child)
-            b ^= low
+    add = closed.add
+    for f in set(masks):
+        sub = f
+        while sub:  # every nonempty submask of f, in decreasing order
+            add(sub)
+            sub = (sub - 1) & f
+        add(0)
     return closed
 
 

@@ -1,6 +1,14 @@
 import pytest
+from hypothesis import settings
 
 from incideals import Monomial, MonomialIdeal, OrbitChain
+
+
+# One fixed profile, so that every run draws the same examples.
+settings.register_profile(
+    "tier1", derandomize=True, deadline=None, max_examples=200, database=None
+)
+settings.load_profile("tier1")
 
 
 def mono(pairs, ambient):

@@ -3,6 +3,8 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given
+import hypothesis.strategies as st
 
 from incideals import (
     CapExceeded,
@@ -13,6 +15,7 @@ from incideals import (
     MonomialIdeal,
     RandomChainParams,
     SaturationChain,
+    SimplicialComplex,
     betti_table,
     euler_consistency,
     homology_ranks,
@@ -25,7 +28,8 @@ from incideals import (
     reg_colon_bounds_check,
     term,
 )
-from incideals.betti import _dense, _row_keys
+from incideals.betti import _class_ranks, _dense, _row_keys
+from incideals.simplicial import face_closure
 from conftest import ideal, mono
 
 
@@ -240,12 +244,57 @@ def test_betti_matches_koszul_homology_on_chain_terms(p):
             assert got == ref, (seed, n, p)
 
 
+# the 6-vertex triangulation of the real projective plane
+RP2_TRIANGLES = [
+    (1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 6), (1, 5, 6),
+    (2, 3, 5), (2, 3, 6), (2, 4, 6), (3, 4, 5), (4, 5, 6),
+]
+
+
+@st.composite
+def facet_classes(draw):
+    s = draw(st.integers(1, 9))
+    facets = draw(st.lists(st.integers(0, (1 << s) - 1), min_size=1, max_size=8))
+    return s, tuple(sorted(set(facets)))
+
+
+def test_class_ranks_match_reference_homology():
+    dual_used = set()
+
+    @given(facet_classes(), st.sampled_from([2, 3, 32003]))
+    def check(case, p):
+        s, facets = case
+        ref = homology_ranks(
+            SimplicialComplex.from_facets_masks(facets, tuple(range(1, s + 1))),
+            FieldSpec(p),
+        )
+        assert _class_ranks(s, facets, p) == {i + 1: h for i, h in ref.items() if h}
+        dual_used.add(2 * len(face_closure(facets)) > 1 << s)
+
+    check()
+    assert dual_used == {False, True}  # both the complex and its dual were reduced
+
+
+def test_class_ranks_of_projective_plane():
+    facets = tuple(sorted(sum(1 << (v - 1) for v in t) for t in RP2_TRIANGLES))
+    assert _class_ranks(6, facets, 2) == {2: 1, 3: 1}
+    assert _class_ranks(6, facets, 3) == {}
+
+
+@given(
+    st.integers(0, 10).flatmap(
+        lambda s: st.tuples(st.just(s), st.lists(st.integers(0, (1 << s) - 1), max_size=6))
+    )
+)
+def test_face_closure_matches_subset_enumeration(case):
+    s, masks = case
+    brute = {g for g in range(1 << s) if any(g & ~f == 0 for f in masks)}
+    assert face_closure(masks) == brute
+
+
 def test_char_dependence_shows_up():
     # Stanley-Reisner ideal of the 6-vertex projective plane triangulation
-    triangles = [
-        (1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 6), (1, 5, 6),
-        (2, 3, 5), (2, 3, 6), (2, 4, 6), (3, 4, 5), (4, 5, 6),
-    ]
+    triangles = RP2_TRIANGLES
     keep = {frozenset(t) for t in triangles}
     nonfaces = [
         s

@@ -1,9 +1,14 @@
+import itertools
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import incideals.chains as chains
 from incideals import (
     AmbientMismatch,
+    CapExceeded,
     ImproperIdeal,
     Monomial,
     MonomialIdeal,
@@ -55,7 +60,9 @@ monomial_pairs = st.lists(
 def test_inc_orbit_matches_shift_oracle(pairs, extra):
     u = Monomial.from_pairs(pairs, 3)
     n = 3 + extra
-    assert inc_orbit(u, 3, n) == inc_orbit_by_shifts(u, 3, n)
+    orbit = inc_orbit(u, 3, n)
+    assert orbit == inc_orbit_by_shifts(u, 3, n)
+    assert len(orbit) == comb(extra + len(u.exps), len(u.exps))  # the counted placements
 
 
 def test_sym_orbit():
@@ -65,6 +72,22 @@ def test_sym_orbit():
     # inc orbit sits inside the sym orbit
     u = mono([(1, 1), (3, 2)], 3)
     assert inc_orbit(u, 3, 5) <= sym_orbit(u, 5)
+
+
+def test_orbit_caps_trip_before_enumerating(monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("the orbit enumeration started")
+
+    wide_inc = Monomial.from_pairs([(i, 1) for i in range(1, 6)], 5)
+    wide_sym = Monomial.from_pairs([(i, 1) for i in range(1, 5)], 4)
+    monkeypatch.setattr(chains, "Monomial", no_enumeration)
+    monkeypatch.setattr(itertools, "permutations", no_enumeration)
+    with pytest.raises(CapExceeded) as exc:
+        inc_orbit(wide_inc, 5, 100)
+    assert exc.value.actual == comb(100, 5) > chains.ORBIT_CAP
+    with pytest.raises(CapExceeded) as exc:
+        sym_orbit(wide_sym, 40)
+    assert exc.value.actual == 40 * 39 * 38 * 37 > chains.ORBIT_CAP
 
 
 def test_orbit_chain_terms(mixed_squares_chain):

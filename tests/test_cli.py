@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -176,6 +177,30 @@ def test_betti_huge_exponent_exit(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "exponent 40000" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "extra,what", [([], "invariants horizon"), (["--horizon", "4"], "q_invariant candidates")]
+)
+def test_invariants_huge_exponent_capped(tmp_path, capsys, extra, what):
+    # the default window would be 2 * 40001 + 4 widths, and q would sum
+    # C(40003, 2) candidates; both caps trip before the work starts
+    p = tmp_path / "huge.chain"
+    p.write_text("index 2\ngen x1^40000*x2\n")
+    start = time.perf_counter()
+    rc = main(["invariants", str(p), *extra])
+    assert time.perf_counter() - start < 5
+    assert rc == 3
+    assert what in capsys.readouterr().err
+
+
+def test_betti_orbit_cap_exit(tmp_path, capsys):
+    # the term at width 60 needs C(60, 5) placements of the seed
+    p = tmp_path / "wide.chain"
+    p.write_text("index 5\ngen x1*x2*x3*x4*x5\n")
+    rc = main(["betti", str(p), "--n", "60"])
+    assert rc == 3
+    assert "inc orbit placements" in capsys.readouterr().err
 
 
 def test_invariants_composite_char_rejected(mixed_file, capsys):

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -169,6 +171,22 @@ def test_hilbert_count():
     assert hilbert_count(J, 2, 2) == 2
     with pytest.raises(CapExceeded):
         hilbert_count(ideal([[(1, 2)]], 10), 10, 40, cap=100)
+
+
+def test_q_invariant_caps_its_total_up_front(monkeypatch):
+    import incideals.monomials as monomials
+
+    def no_count(*args, **kwargs):
+        raise AssertionError("hilbert_count was called")
+
+    monkeypatch.setattr(monomials, "hilbert_count", no_count)
+    huge = ideal([[(1, 40000), (2, 1)]], 2)
+    with pytest.raises(CapExceeded) as exc:
+        q_invariant(huge)
+    assert exc.value.actual == comb(40003, 2)
+    # each degree up to 101 fits the cap, but the 102 degrees together do not
+    with pytest.raises(CapExceeded):
+        q_invariant(ideal([[(1, 99), (2, 1), (3, 1)]], 3), cap=comb(104, 3) - 1)
 
 
 def test_q_invariant_golden():
