@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 import random
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -30,8 +31,8 @@ from .chains import (
     colon_filtration,
     colon_filtration_term,
     m_saturation,
-    saturated_truncation,
     term,
+    window_saturated,
 )
 from .errors import CapExceeded, ImproperIdeal
 from .gflinalg import DEFAULT_FIELD, FieldSpec
@@ -265,16 +266,6 @@ class CheckResult:
     details: dict = field(compare=False)
 
 
-def _window_saturated(chain: Chain, horizon: int) -> bool:
-    if chain.saturated_by_construction:
-        return True
-    r = chain.index
-    return all(
-        saturated_truncation(chain, n) == term(chain, n)
-        for n in range(r, r + horizon + 1)
-    )
-
-
 def check_pd_linearity(
     chain: Chain,
     horizon: int = 6,
@@ -293,7 +284,7 @@ def check_pd_linearity(
     """
     name = "pd_linearity"
     r = chain.index
-    applicable = _window_saturated(chain, horizon)
+    applicable = window_saturated(chain, horizon)
     if not applicable:
         inv = chain_invariants(chain)
         applicable = inv.quasi_saturated
@@ -382,7 +373,7 @@ def check_betti_propagation(
     name = "betti_propagation"
     if n < chain.index:
         raise ValueError("width below the chain index")
-    if not _window_saturated(chain, n - chain.index + 1):
+    if not window_saturated(chain, n - chain.index + 1):
         return CheckResult(name, False, True, {"reason": "chain not saturated"})
     inv = chain_invariants(chain)
     if not inv.lambda_exact:
@@ -392,6 +383,7 @@ def check_betti_propagation(
     lam = inv.lambda_
     t1 = betti_table(term(chain, n), field, gen_cap, lattice_cap)
     t2 = betti_table(term(chain, n + 1), field, gen_cap, lattice_cap)
+    degrees = {(i, a.exps) for i, a, _ in t2.entries}
     failures = []
     checked = 0
     for i, a, _ in t1.entries:
@@ -401,9 +393,9 @@ def check_betti_propagation(
         if a_t < lam:
             failures.append((i, str(a), "top exponent below lambda"))
             continue
-        wide = a.embed(n + 1)
+        # a * x_{t+1}^p appends (t+1, p) to the exponents of a
         found = any(
-            t2.value(i + 1, wide * Monomial.variable(t + 1, n + 1, p)) > 0
+            (i + 1, a.exps + ((t + 1, p),)) in degrees
             for p in range(lam, a_t + 1)
         )
         if not found:
@@ -447,21 +439,19 @@ def check_msat_identities(
             if not jn1.is_zero
             else None
         )
-        stripped: set[tuple[int, Monomial]] = set()
-        for i, a, _ in tj.entries:
-            if a.exponent(n) == m:
-                base = a / Monomial.variable(n, n, m)
-                stripped.add((i, Monomial(base.exps, n - 1)))
-        for i, a, _ in ti.entries:
-            stripped.add((i, a))
+        # x_n is the last variable, so its exponent m is the last pair
+        lhs = Counter({
+            (i, Monomial(a.exps[:-1], n - 1)): v
+            for i, a, v in tj.entries
+            if a.exponent(n) == m
+        })
+        rhs = Counter({(i, a): v for i, a, v in ti.entries})
         if tj1 is not None:
-            for i, a, _ in tj1.entries:
-                stripped.add((i + 1, a))
-        for i, a in stripped:
-            lhs = tj.value(i, a.embed(n) * Monomial.variable(n, n, m))
-            rhs = ti.value(i, a) + (tj1.value(i - 1, a) if tj1 else 0)
-            if lhs != rhs:
-                failures.append((n, i, str(a), lhs, rhs))
+            for i, a, v in tj1.entries:
+                rhs[i + 1, a] += v
+        wrong = [k for k in lhs.keys() | rhs.keys() if lhs[k] != rhs[k]]
+        for i, a in sorted(wrong, key=lambda k: (k[0], k[1].sort_key())):
+            failures.append((n, i, str(a), lhs[i, a], rhs[i, a]))
         expected = ti.reg() + m
         if tj1 is not None:
             expected = max(expected, tj1.reg() + m - 1)
@@ -508,7 +498,7 @@ def check_colon_filtration(
     base term's regularity dominates the derived term's.
     """
     name = "colon_filtration"
-    if getattr(chain, "symmetry", None) is not Symmetry.INC:
+    if chain.symmetry is not Symmetry.INC:
         return CheckResult(name, False, True, {"reason": "not an increasing chain"})
     seed = term(chain, chain.index)
     if not seed.is_proper:

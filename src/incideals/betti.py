@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -344,13 +344,6 @@ class BettiTable:
     entries: tuple[tuple[int, Monomial, int], ...]
     char: int
     ambient: int
-
-    @cached_property
-    def _lookup(self) -> dict[tuple[int, Monomial], int]:
-        return {(i, a): v for i, a, v in self.entries}
-
-    def value(self, i: int, a: Monomial) -> int:
-        return self._lookup.get((i, a), 0)
 
     def pd(self) -> int:
         """Largest homological degree with a nonzero Betti number."""

@@ -39,6 +39,7 @@ __all__ = [
     "saturation",
     "saturated_truncation",
     "m_saturation",
+    "window_saturated",
     "ChainInvariants",
     "chain_invariants",
     "colon_filtration",
@@ -311,7 +312,7 @@ def saturated_truncation(chain: Chain, n: int) -> MonomialIdeal:
     generator of the limit with support in [n] has appeared.  Only
     meaningful for chains of the increasing family.
     """
-    if getattr(chain, "symmetry", Symmetry.INC) is not Symmetry.INC:
+    if chain.symmetry is not Symmetry.INC:
         raise ValueError("saturated truncation is defined for increasing chains")
     if n < 1:
         raise ValueError("width must be at least 1")
@@ -323,6 +324,21 @@ def m_saturation(chain: Chain, m: int) -> MSaturationChain:
 
 
 # -- numeric invariants of a chain -----------------------------------------
+
+def window_saturated(chain: Chain, horizon: int) -> bool:
+    """Whether every term over widths [index, index + horizon] is saturated.
+
+    A term is saturated when it equals its saturated truncation; chains
+    saturated by construction pass without building a term.
+    """
+    if chain.saturated_by_construction:
+        return True
+    r = chain.index
+    return all(
+        saturated_truncation(chain, n) == term(chain, n)
+        for n in range(r, r + horizon + 1)
+    )
+
 
 @dataclass(frozen=True)
 class ChainInvariants:
@@ -347,6 +363,7 @@ class ChainInvariants:
         return self.lambda_certificate in ("reached_w", "saturated")
 
 
+@lru_cache(maxsize=4096)
 def chain_invariants(chain: Chain, horizon: int | None = None) -> ChainInvariants:
     """Sample terms over a window and report the chain's limit weights.
 
@@ -359,6 +376,8 @@ def chain_invariants(chain: Chain, horizon: int | None = None) -> ChainInvariant
     trusts the declared index to be the width where the chain actually
     starts; a chain declared at a larger index than necessary can be
     flagged quasi-saturated without the property holding further down.
+
+    Results are cached per (chain, horizon) argument, like terms.
     """
     r = chain.index
     seed = term(chain, r)
@@ -371,18 +390,8 @@ def chain_invariants(chain: Chain, horizon: int | None = None) -> ChainInvariant
     if h > HORIZON_CAP:
         raise CapExceeded("invariants horizon", HORIZON_CAP, h)
 
-    lam_vals = []
-    sat_ok = chain.saturated_by_construction
-    sat_checked = sat_ok
-    for n in range(r, r + h + 1):
-        t = term(chain, n)
-        lam_vals.append(t.weights().lambda_)
-        if not sat_checked:
-            if saturated_truncation(chain, n) != t:
-                sat_ok = False
-                sat_checked = True
-    if not sat_checked:
-        sat_ok = True
+    lam_vals = [term(chain, n).weights().lambda_ for n in range(r, r + h + 1)]
+    sat_ok = window_saturated(chain, h)
     lam = max(lam_vals)
 
     if lam == wts.w:
@@ -420,7 +429,7 @@ def colon_filtration(chain: Chain, e: int) -> OrbitChain:
     just restricts.  The seed may come out as the unit ideal (e at least
     the generator exponents); such chains are allowed and have q = 0.
     """
-    if getattr(chain, "symmetry", None) is not Symmetry.INC:
+    if chain.symmetry is not Symmetry.INC:
         raise ValueError("the colon filtration is defined for increasing chains")
     if e < 0:
         raise ValueError("the colon exponent must be nonnegative")

@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_inv = subs.add_parser("invariants", help="chain weight invariants as JSON")
     _add_chain_options(p_inv)
-    p_inv.add_argument("--horizon", type=int, default=None)
+    p_inv.add_argument("--horizon", type=_positive_int, default=None)
     p_inv.add_argument("--char", type=int, default=DEFAULT_FIELD.p)
     p_inv.set_defaults(func=cmd_invariants)
 
@@ -318,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=_CHECKS,
         help="run this check (repeatable; default: all)",
     )
-    p_verify.add_argument("--horizon", type=int, default=4)
+    p_verify.add_argument("--horizon", type=_positive_int, default=4)
     p_verify.add_argument("--e", type=int, default=1, help="colon exponent")
     p_verify.add_argument("--m", type=int, default=2, help="saturation exponent")
     p_verify.add_argument("--n", type=int, default=None, help="width for betti check")

@@ -42,10 +42,6 @@ class MonomialPrime:
     def indices(self) -> tuple[int, ...]:
         return tuple(sorted(self.vars))
 
-    def as_ideal(self, ambient: int) -> MonomialIdeal:
-        gens = [Monomial.variable(i, ambient) for i in self.indices]
-        return MonomialIdeal.from_gens(gens, ambient)
-
     def __str__(self) -> str:
         return "<" + ", ".join(f"x{i}" for i in self.indices) + ">"
 

@@ -23,13 +23,6 @@ from .gflinalg import DEFAULT_FIELD, FieldSpec, gf_rank
 __all__ = ["SimplicialComplex", "face_closure", "homology_ranks", "alexander_dual"]
 
 
-def _mask_of(face: Iterable[int], position: dict[int, int]) -> int:
-    m = 0
-    for v in face:
-        m |= 1 << position[v]
-    return m
-
-
 def face_closure(masks: Iterable[int]) -> set[int]:
     """All subsets of the given faces (bitmasks), the faces included."""
     closed: set[int] = set()
@@ -69,14 +62,6 @@ class SimplicialComplex:
             for b in range(len(self.vertices)):
                 if f >> b & 1 and (f ^ (1 << b)) not in self.faces:
                     raise ValueError("faces are not closed under subsets")
-
-    @classmethod
-    def from_faces(cls, faces: Iterable[Iterable[int]], vertices: Iterable[int]) -> SimplicialComplex:
-        """Closure of the given faces over the given universe."""
-        universe = tuple(sorted(set(vertices)))
-        position = {v: i for i, v in enumerate(universe)}
-        masks = {_mask_of(f, position) for f in faces}
-        return cls.from_facets_masks(masks, universe)
 
     @classmethod
     def from_facets_masks(cls, masks: Iterable[int], vertices: tuple[int, ...]) -> SimplicialComplex:

@@ -1,17 +1,22 @@
 import pytest
 
+import incideals.asymptotics as asymptotics
 from incideals import (
+    BettiTable,
     CapExceeded,
     LinearFit,
+    Monomial,
     OrbitChain,
     RandomChainParams,
     SeriesReport,
+    betti_table,
     check_betti_propagation,
     check_colon_filtration,
     check_msat_identities,
     check_pd_linearity,
     check_reg_slope,
     detect_linear,
+    m_saturation,
     random_chain,
     saturation,
     series,
@@ -160,3 +165,47 @@ def test_check_colon_filtration(squares_chain, mixed_squares_chain):
     ]:
         res = check_colon_filtration(chain, e, horizon=2)
         assert res.applicable and res.holds, (e, res.details["failures"])
+
+
+def corrupt_table(monkeypatch, target, edit):
+    """Make the checks see `edit(entries)` as the Betti table of `target`."""
+
+    def fake(ideal, *args, **kwargs):
+        table = betti_table(ideal, *args, **kwargs)
+        if ideal != target:
+            return table
+        return BettiTable(edit(table.entries), table.char, table.ambient)
+
+    monkeypatch.setattr(asymptotics, "betti_table", fake)
+
+
+def test_check_betti_propagation_fails_on_a_dropped_successor(squares_chain, monkeypatch):
+    # x1^2 (degree 0) at width 3 has the single successor x1^2*x2^2 (degree 1)
+    successor = (1, "x1^2*x2^2")
+    corrupt_table(
+        monkeypatch,
+        term(squares_chain, 4),
+        lambda entries: tuple(e for e in entries if (e[0], str(e[1])) != successor),
+    )
+    res = check_betti_propagation(squares_chain, 3)
+    assert res.applicable and res.holds is False
+    assert res.details["failures"] == [(0, "x1^2", "no successor degree")]
+
+
+@pytest.mark.parametrize("edit", ["drop", "add_one"])
+def test_check_msat_identities_fails_on_a_corrupted_table(squares_chain, monkeypatch, edit):
+    # J_5 is the last width of the window, so it enters only as the left side
+    m, n = 2, 5
+    target = term(m_saturation(squares_chain, m), n)
+    entries = betti_table(target).entries
+    k = next(k for k, (_, a, _) in enumerate(entries) if a.exponent(n) == m)
+    i, a, v = entries[k]
+    if edit == "drop":
+        changed, lhs = entries[:k] + entries[k + 1 :], 0
+    else:
+        changed, lhs = entries[:k] + ((i, a, v + 1),) + entries[k + 1 :], v + 1
+    corrupt_table(monkeypatch, target, lambda _: changed)
+    res = check_msat_identities(squares_chain, m, horizon=2)
+    assert res.applicable and res.holds is False
+    stripped = str(a / Monomial.variable(n, n, m))
+    assert res.details["failures"][0] == (n, i, stripped, lhs, v)

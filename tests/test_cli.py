@@ -101,12 +101,40 @@ def test_series_deterministic(squares_file, capsys):
     assert a == b
 
 
-def test_verify_all_pass(squares_file, capsys):
-    rc = main(["verify", squares_file, "--e", "1", "--m", "2"])
-    out = capsys.readouterr().out.splitlines()
+ALL_PASS = (
+    "PASS pd_linearity\n"
+    "PASS reg_slope\n"
+    "PASS betti_propagation\n"
+    "PASS msat_identities\n"
+    "PASS colon_filtration\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text,extra,expected",
+    [
+        (
+            MIXED,
+            [],
+            "NA   pd_linearity (chain not saturated)\n"
+            "NA   reg_slope (slope asserted only when quasi-saturated and lambda-maximal)\n"
+            "NA   betti_propagation (chain not saturated)\n"
+            "PASS msat_identities\n"
+            "PASS colon_filtration\n",
+        ),
+        (SQUARES, ["--e", "1", "--m", "2"], ALL_PASS),
+        (MIXED, ["--saturation"], ALL_PASS),
+        (POWER, ["--msat", "2"], ALL_PASS),
+    ],
+    ids=["mixed", "squares", "mixed_saturation", "power_msat2"],
+)
+def test_verify_output_pinned(tmp_path, capsys, text, extra, expected):
+    # all five checks, in their fixed order, NA reasons included
+    p = tmp_path / "pinned.chain"
+    p.write_text(text)
+    rc = main(["verify", str(p), *extra])
+    assert capsys.readouterr().out == expected
     assert rc == 0
-    assert len(out) == 5
-    assert all(line.startswith("PASS") for line in out)
 
 
 def test_verify_reports_na(mixed_file, capsys):
@@ -115,13 +143,6 @@ def test_verify_reports_na(mixed_file, capsys):
     assert rc == 0  # NA lines are not failures
     assert out[0].startswith("NA   pd_linearity")
     assert out[1].startswith("NA   reg_slope")
-
-
-def test_verify_saturation_variant(mixed_file, capsys):
-    rc = main(["verify", mixed_file, "--saturation"])
-    out = capsys.readouterr().out.splitlines()
-    assert rc == 0
-    assert all(line.startswith("PASS") for line in out)
 
 
 def test_explore_deterministic(capsys):
@@ -279,4 +300,12 @@ def test_jobs_below_one_rejected(squares_file, command):
     }[command]
     with pytest.raises(SystemExit) as e:
         main(argv + ["--jobs", "0"])
+    assert e.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "invariants"])
+@pytest.mark.parametrize("horizon", ["0", "-1"])
+def test_horizon_below_one_rejected(squares_file, command, horizon):
+    with pytest.raises(SystemExit) as e:
+        main([command, squares_file, "--horizon", horizon])
     assert e.value.code == 2
