@@ -116,7 +116,7 @@ def _metric_value(
     if metric == "reg":
         return table.reg()
     if metric == "betti_total":
-        return sum(v for _, _, v in table.entries)
+        return sum(table.totals().values())
     raise ValueError(f"unknown metric {metric!r}")
 
 

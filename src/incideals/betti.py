@@ -14,6 +14,20 @@ pairwise lcm, which is equivalent to enumerating subsets but stays
 proportional to the lattice size; lattice points are deduplicated as
 sortable keys (integers, or bytes for very wide exponent ranges).
 
+When the generator set is closed under permuting the variables (read off
+the generators, as the Sym chain terms are), so is the Betti table:
+beta_{i, sigma a} = beta_{i, a}.  The closure then keeps one point per
+S_n-orbit, its descending sort, and weighs it by its orbit size (Murai,
+"Betti tables of monomial ideals fixed by permutations").  The lattice
+cap still counts the whole lattice, the sum of the orbit sizes, so it
+trips at the same size with or without symmetry.
+
+A `BettiTable` is a set of arrays, one row per nonzero
+(i, representative, dim) with the representative's orbit size: pd, reg
+and the totals are array reductions.  Its `entries`, every multidegree as
+a `Monomial` in sorted order, are expanded from the representatives the
+first time they are read and then kept.
+
 Homology ranks come from sparse column reduction over GF(p), one boundary
 map at a time from the top face size down, with clearing: a face that is
 the pivot of a reduced column one level up has a column that reduces to
@@ -36,9 +50,12 @@ whole tables, keyed by (ideal, p, lattice_cap) (up to 256 tables).  Their
 """
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -64,6 +81,7 @@ DEFAULT_GEN_CAP = 20
 DEFAULT_LATTICE_CAP = 500_000
 
 _MAX_AMBIENT = 62  # bitmask faces live in int64
+_MAX_WEIGHT = int(np.iinfo(np.int64).max)  # lattice points per row, and so the cap
 _BLOCK_CELLS = 1 << 18  # int64 cells per classification temporary; bounds peak memory
 
 
@@ -145,33 +163,81 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[first]
 
 
-def _lattice_matrix(gens: np.ndarray, lattice_cap: int) -> np.ndarray:
-    """All exponentwise maxima of nonempty generator subsets, sorted rows.
+def _orbit_size(row: Sequence[int]) -> int:
+    """n! / prod(mult!): the number of distinct permutations of a row."""
+    size = math.factorial(len(row))
+    for m in Counter(row).values():
+        size //= math.factorial(m)
+    return size
+
+
+def _symmetric(gens: np.ndarray) -> bool:
+    """Whether permuting the variables maps the generator set to itself.
+
+    The generators are distinct, so the set is closed exactly when each
+    sorted exponent pattern occurs as often as its orbit has points.
+    """
+    patterns = Counter(map(tuple, np.sort(gens, axis=1).tolist()))
+    return all(c == _orbit_size(row) for row, c in patterns.items())
+
+
+def _lattice_matrix(
+    gens: np.ndarray, lattice_cap: int, symmetric: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """All exponentwise maxima of nonempty generator subsets, with weights.
 
     Closure under pairwise maximum with single generators reaches every
-    subset maximum, and each lattice element is expanded only once.  The
-    cap is checked after every block, so it trips inside the round that
-    crosses it.
+    subset maximum, and each lattice element is expanded only once.  With
+    `symmetric` (the generator set, hence the lattice, is closed under
+    permuting the variables) only one point per orbit is kept, its
+    descending sort: if b is in the lattice and sigma sorts b, then
+    sort(max(b, g)) = sort(max(sort b, sigma g)) and sigma g is again a
+    generator.  Returns the rows and the number of lattice points each
+    stands for (its orbit size, else 1).  The cap counts the whole lattice,
+    not the rows; it is checked after every block, so it trips inside the
+    round that crosses it.
     """
     encode, decode, joins = _row_keys(gens)
-    seen = _sorted_unique(encode(gens))
-    if len(seen) > lattice_cap:
-        raise CapExceeded("lcm lattice size", lattice_cap, len(seen))
+    limit = min(lattice_cap, _MAX_WEIGHT)
+
+    def canonical(keys: np.ndarray) -> np.ndarray:
+        if symmetric:
+            keys = encode(np.sort(decode(keys), axis=1)[:, ::-1])
+        return _sorted_unique(keys)
+
+    parts, weights = [], []
+    total = 0
+
+    def admit(fresh: np.ndarray) -> None:
+        # orbit sizes are exact Python ints until the cap bounds them
+        nonlocal total
+        if symmetric:
+            sizes = [_orbit_size(row) for row in decode(fresh).tolist()]
+            total += sum(sizes)
+        else:
+            sizes = np.ones(len(fresh), dtype=np.int64)
+            total += len(fresh)
+        if total > limit:
+            raise CapExceeded("lcm lattice size", limit, total)
+        parts.append(fresh)
+        weights.append(np.asarray(sizes, dtype=np.int64))
+
+    seen = canonical(encode(gens))
+    admit(seen)
     frontier = seen
     block_rows = max(1, 2_000_000 // max(1, gens.size))
     while len(frontier):
         fresh_parts = []
         for lo in range(0, len(frontier), block_rows):
-            keys = _sorted_unique(joins(frontier[lo : lo + block_rows]))
+            keys = canonical(joins(frontier[lo : lo + block_rows]))
             fresh = keys[~np.isin(keys, seen, assume_unique=True)]
             if not len(fresh):
                 continue
             seen = np.insert(seen, np.searchsorted(seen, fresh), fresh)
-            if len(seen) > lattice_cap:
-                raise CapExceeded("lcm lattice size", lattice_cap, len(seen))
+            admit(fresh)
             fresh_parts.append(fresh)
         frontier = np.concatenate(fresh_parts) if fresh_parts else seen[:0]
-    return decode(seen)
+    return decode(np.concatenate(parts)), np.concatenate(weights)
 
 
 def lcm_lattice(
@@ -184,7 +250,7 @@ def lcm_lattice(
         raise ImproperIdeal("the lcm lattice needs a nonzero proper ideal")
     if gen_cap is not None and len(ideal.gens) > gen_cap:
         raise CapExceeded("lcm lattice generators", gen_cap, len(ideal.gens))
-    rows = _lattice_matrix(_dense(ideal), lattice_cap)
+    rows, _ = _lattice_matrix(_dense(ideal), lattice_cap, symmetric=False)
     return frozenset(Monomial.from_dense(row, ideal.ambient) for row in rows)
 
 
@@ -337,27 +403,76 @@ def _complex_classes(supp: np.ndarray, tights: np.ndarray, n: int):
 
 # -- Betti tables ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class BettiTable:
-    """Nonzero multigraded Betti numbers (i, multidegree, dim), sorted."""
+def _arrangements(row: list[int]) -> list[list[int]]:
+    """Each distinct permutation of `row` once.
 
-    entries: tuple[tuple[int, Monomial, int], ...]
+    The most frequent value fills a template; every other value in turn
+    takes a combination of the positions still free.
+    """
+    counts = Counter(row)
+    fill = max(counts, key=counts.get)
+    del counts[fill]
+    words = [([fill] * len(row), tuple(range(len(row))))]
+    for v, m in counts.items():
+        grown = []
+        for word, free in words:
+            for pick in itertools.combinations(free, m):
+                w = word.copy()
+                for j in pick:
+                    w[j] = v
+                grown.append((w, tuple(j for j in free if j not in pick)))
+        words = grown
+    return [w for w, _ in words]
+
+
+@dataclass(frozen=True, eq=False)
+class BettiTable:
+    """Nonzero multigraded Betti numbers, one row per orbit representative.
+
+    Entry k says beta_{degrees[k], a} = dims[k] for each of the weights[k]
+    distinct permutations a of rows[k] (a single point when the weight is
+    1).  Tables of ideals not closed under permuting the variables have
+    weight 1 throughout.
+    """
+
+    degrees: np.ndarray  # homological degree i, int64
+    rows: np.ndarray  # multidegree exponents, int16, one row per entry
+    dims: np.ndarray  # int64
+    weights: np.ndarray  # int64
     char: int
     ambient: int
 
     def pd(self) -> int:
         """Largest homological degree with a nonzero Betti number."""
-        return max(i for i, _, _ in self.entries)
+        return int(self.degrees.max())
 
     def reg(self) -> int:
         """max(|a| - i) over the nonzero Betti numbers."""
-        return max(a.degree - i for i, a, _ in self.entries)
+        return int((self.rows.sum(axis=1, dtype=np.int64) - self.degrees).max())
 
     def totals(self) -> dict[int, int]:
-        acc: dict[int, int] = {}
-        for i, _, v in self.entries:
-            acc[i] = acc.get(i, 0) + v
+        """sum over a of beta_{i,a}, for each homological degree i."""
+        acc = dict.fromkeys(sorted(set(self.degrees.tolist())), 0)
+        for i, v, w in zip(self.degrees.tolist(), self.dims.tolist(), self.weights.tolist()):
+            acc[i] += v * w
         return acc
+
+    @cached_property
+    def entries(self) -> tuple[tuple[int, Monomial, int], ...]:
+        """Every nonzero (i, multidegree, dim), sorted by i and then by
+        `Monomial.sort_key`: the rows expanded over their orbits."""
+        out = []
+        last = None
+        for i, row, v, w in zip(
+            self.degrees.tolist(), self.rows.tolist(), self.dims.tolist(), self.weights.tolist()
+        ):
+            if row != last:  # `_table` records the degrees of a point together
+                last = row
+                orbit = _arrangements(row) if w > 1 else [row]
+                points = [Monomial.from_dense(a, self.ambient) for a in orbit]
+            out.extend((i, a, v) for a in points)
+        out.sort(key=lambda t: (t[0], t[1].sort_key()))
+        return tuple(out)
 
 
 def betti_table(
@@ -375,8 +490,9 @@ def betti_table(
     if ideal.is_zero:
         raise ImproperIdeal("Betti numbers of the zero ideal are undefined")
     if ideal.is_unit:
-        entry = (0, Monomial.one(ideal.ambient), 1)
-        return BettiTable((entry,), field.p, ideal.ambient)
+        zero, one = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+        origin = np.zeros((1, ideal.ambient), dtype=np.int16)
+        return BettiTable(zero, origin, one, one, field.p, ideal.ambient)
     if ideal.ambient > _MAX_AMBIENT:
         raise CapExceeded("ambient width", _MAX_AMBIENT, ideal.ambient)
     if gen_cap is not None and len(ideal.gens) > gen_cap:
@@ -386,11 +502,18 @@ def betti_table(
 
 @lru_cache(maxsize=256)
 def _table(ideal: MonomialIdeal, p: int, lattice_cap: int) -> BettiTable:
-    """The Betti table of a validated ideal, cached per (ideal, p, lattice_cap)."""
+    """The Betti table of a validated ideal, cached per (ideal, p, lattice_cap).
+
+    A generator set closed under permuting the variables has an invariant
+    Betti table, beta_{i, sigma a} = beta_{i, a}, so the lattice is walked
+    one point per orbit.
+    """
     gens = _dense(ideal)
     n = ideal.ambient
-    lattice = _lattice_matrix(gens, lattice_cap)
-    entries: list[tuple[int, Monomial, int]] = []
+    lattice, weights = _lattice_matrix(gens, lattice_cap, _symmetric(gens))
+    degrees: list[int] = []
+    points: list[int] = []
+    dims: list[int] = []
 
     chunk = max(1, _BLOCK_CELLS // len(gens))
     for lo in range(0, len(lattice), chunk):
@@ -410,16 +533,19 @@ def _table(ideal: MonomialIdeal, p: int, lattice_cap: int) -> BettiTable:
         live = np.flatnonzero(np.bitwise_or.reduce(tight, axis=1) == supp)
         padded = np.where(div[live], tight[live], supp[live, None])
         for row, s, facets in _complex_classes(supp[live], padded, n):
-            ranks = _class_ranks(s, facets, p)
-            if ranks:
-                # one row at a time: a list per live row of the block, all
-                # alive at once, would set off extra garbage collections
-                a = Monomial.from_dense(block[live[row]].tolist(), n)
-                for i, h in ranks.items():
-                    entries.append((i, a, h))
+            for i, h in _class_ranks(s, facets, p).items():
+                degrees.append(i)
+                points.append(lo + int(live[row]))
+                dims.append(h)
 
-    entries.sort(key=lambda t: (t[0], t[1].sort_key()))
-    return BettiTable(tuple(entries), p, n)
+    return BettiTable(
+        np.array(degrees, dtype=np.int64),
+        lattice[points],
+        np.array(dims, dtype=np.int64),
+        weights[points],
+        p,
+        n,
+    )
 
 
 def pd(

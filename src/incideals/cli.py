@@ -84,14 +84,21 @@ def _add_field_options(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int, what: str):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected a {what} integer, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_nonnegative_int = _int_at_least(0, "non-negative")
 
 
 def _resolve_chain(args: argparse.Namespace):
@@ -332,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_explore.add_argument("--max-exponent", type=int, default=2)
     p_explore.add_argument("--max-degree", type=int, default=4)
     p_explore.add_argument("--seed", type=int, default=0)
-    p_explore.add_argument("--horizon", type=int, default=6)
+    p_explore.add_argument("--horizon", type=_nonnegative_int, default=6)
     p_explore.add_argument("--budget", type=float, default=None)
     p_explore.add_argument("--jobs", type=_positive_int, default=1)
     _add_field_options(p_explore)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import incideals.asymptotics as asymptotics
@@ -168,13 +169,25 @@ def test_check_colon_filtration(squares_chain, mixed_squares_chain):
 
 
 def corrupt_table(monkeypatch, target, edit):
-    """Make the checks see `edit(entries)` as the Betti table of `target`."""
+    """Make the checks see `edit(entries)` as the Betti table of `target`.
+
+    The edited entries become a table of weight-1 rows, one per entry.
+    """
 
     def fake(ideal, *args, **kwargs):
         table = betti_table(ideal, *args, **kwargs)
         if ideal != target:
             return table
-        return BettiTable(edit(table.entries), table.char, table.ambient)
+        entries = edit(table.entries)
+        n = table.ambient
+        return BettiTable(
+            np.array([i for i, _, _ in entries], dtype=np.int64),
+            np.array([a.dense() for _, a, _ in entries], dtype=np.int16).reshape(-1, n),
+            np.array([v for _, _, v in entries], dtype=np.int64),
+            np.ones(len(entries), dtype=np.int64),
+            table.char,
+            n,
+        )
 
     monkeypatch.setattr(asymptotics, "betti_table", fake)
 

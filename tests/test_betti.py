@@ -3,7 +3,7 @@ import random
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from incideals import (
@@ -13,9 +13,11 @@ from incideals import (
     ImproperIdeal,
     Monomial,
     MonomialIdeal,
+    OrbitChain,
     RandomChainParams,
     SaturationChain,
     SimplicialComplex,
+    Symmetry,
     betti_table,
     euler_consistency,
     homology_ranks,
@@ -26,9 +28,17 @@ from incideals import (
     random_chain,
     reg,
     reg_colon_bounds_check,
+    series,
     term,
 )
-from incideals.betti import _class_ranks, _dense, _row_keys
+from incideals.betti import (
+    DEFAULT_LATTICE_CAP,
+    _class_ranks,
+    _dense,
+    _lattice_matrix,
+    _row_keys,
+    _symmetric,
+)
 from incideals.simplicial import face_closure
 from conftest import ideal, mono
 
@@ -319,3 +329,149 @@ def test_reg_colon_bounds():
             continue
         for k in range(1, J.ambient + 1):
             assert reg_colon_bounds_check(J, k), (J, k)
+
+
+# -- one lattice point per S_n-orbit ---------------------------------------
+
+def sym_closure(rows, n):
+    """The ideal generated by every permutation of the given exponent rows."""
+    gens = {p for row in rows for p in itertools.permutations(row)}
+    return MonomialIdeal.from_gens(tuple(Monomial.from_dense(g, n) for g in gens), n)
+
+
+def closed_under_permutations(J):
+    gens = {g.dense() for g in J.gens}
+    return all(p in gens for g in gens for p in itertools.permutations(g))
+
+
+def sym_chain():
+    # the Sym chain <x1^2 x2, x1 x2 x3>; its lattice has 17, 66, 222, 701,
+    # 2151 points at widths 3..7, in 6, 11, 17, 24, 32 orbits
+    return OrbitChain(
+        seed=ideal([[(1, 2), (2, 1)], [(1, 1), (2, 1), (3, 1)]], 3),
+        index=3,
+        symmetry=Symmetry.SYM,
+    )
+
+
+def assert_orbit_route_exact(J, field):
+    """The expanded orbit-route table equals Koszul homology over lcm_lattice."""
+    gens = _dense(J)
+    assert _symmetric(gens)
+    lattice = lcm_lattice(J, gen_cap=None)
+    rows, weights = _lattice_matrix(gens, DEFAULT_LATTICE_CAP, symmetric=True)
+    assert int(weights.sum()) == len(lattice)
+    assert all(list(r) == sorted(r, reverse=True) for r in rows.tolist())
+    ref = {}
+    for a in lattice:
+        for i, h in homology_ranks(koszul_complex(J, a), field).items():
+            if h:
+                ref[(i + 1, a)] = h
+    T = betti_table(J, field, gen_cap=None)
+    assert {(i, a): v for i, a, v in T.entries} == ref
+    assert len(T.entries) == len(ref)
+    totals = {}
+    for (i, _), v in ref.items():
+        totals[i] = totals.get(i, 0) + v
+    assert T.totals() == totals
+
+
+@st.composite
+def symmetric_ideals(draw):
+    n = draw(st.integers(2, 6))
+    patterns = draw(
+        st.lists(
+            st.lists(st.integers(1, 3), min_size=1, max_size=min(n, 3)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    J = sym_closure([tuple(p) + (0,) * (n - len(p)) for p in patterns], n)
+    assume(len(J.gens) <= 22)
+    return J
+
+
+@settings(max_examples=100)
+@given(symmetric_ideals(), st.sampled_from([2, 32003]))
+def test_orbit_route_matches_koszul_homology(J, p):
+    assert_orbit_route_exact(J, FieldSpec(p))
+    if len(J.gens) <= 16:  # the Taylor side has 2^gens terms
+        assert euler_consistency(J, FieldSpec(p))
+
+
+@pytest.mark.parametrize("p", [2, 32003])
+def test_orbit_route_on_sym_chain_terms(p):
+    chain = sym_chain()
+    for n in range(3, 8):
+        J = term(chain, n)
+        assert_orbit_route_exact(J, FieldSpec(p))
+        if len(J.gens) <= 22:
+            assert euler_consistency(J, FieldSpec(p), gen_cap=22)
+
+
+def test_orbit_route_is_taken_on_sym_terms():
+    T = betti_table(term(sym_chain(), 7), gen_cap=None)
+    assert len(T.rows) < len(T.entries) == 1212
+    assert int(T.weights.max()) > 1
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.lists(st.integers(0, 2), min_size=n, max_size=n), min_size=1, max_size=6
+            ),
+        )
+    )
+)
+def test_symmetric_matches_brute_force(case):
+    n, rows = case
+    loose = MonomialIdeal.from_gens(tuple(Monomial.from_dense(r, n) for r in rows), n)
+    closed = sym_closure([tuple(r) for r in rows], n)
+    cases = [loose, closed]
+    # near misses: one orbit image removed, and unused variables
+    cases += [
+        MonomialIdeal.from_gens(closed.gens[:k] + closed.gens[k + 1 :], n)
+        for k in range(len(closed.gens))
+        if len(closed.gens) > 1
+    ]
+    cases.append(MonomialIdeal.from_gens(tuple(g.embed(n + 1) for g in closed.gens), n + 1))
+    for J in cases:
+        assert _symmetric(_dense(J)) == closed_under_permutations(J), J
+
+
+def test_symmetric_near_misses():
+    closed = sym_closure([(2, 1, 0)], 3)
+    assert _symmetric(_dense(closed))
+    assert not _symmetric(_dense(MonomialIdeal.from_gens(closed.gens[1:], 3)))
+    assert not _symmetric(_dense(MonomialIdeal.from_gens(
+        tuple(g.embed(4) for g in closed.gens), 4)))
+
+
+def test_lattice_cap_counts_every_point_of_a_symmetric_term():
+    # width 6: 701 lattice points in 24 orbits, so only the full count trips
+    chain = sym_chain()
+    J = term(chain, 6)
+    rows, _ = _lattice_matrix(_dense(J), DEFAULT_LATTICE_CAP, symmetric=True)
+    assert len(rows) == 24 and len(lcm_lattice(J, gen_cap=None)) == 701
+    with pytest.raises(CapExceeded) as exc:
+        betti_table(J, gen_cap=None, lattice_cap=700)
+    assert exc.value.actual > 700
+    assert betti_table(J, gen_cap=None, lattice_cap=701).pd() == 5
+    rep = series(chain, "pd", 3, 8, lattice_cap=700)
+    assert [n for n, _ in rep.values] == [3, 4, 5]
+    assert rep.truncated.startswith("lcm lattice size")
+
+
+def test_lattice_cap_is_at_most_int64():
+    # m^2 in 48 variables: its lattice, every vector over {0, 1, 2} but the
+    # unit vectors, has over 2^63 points, more than orbit weights can hold
+    n = 48
+    gens = [Monomial.variable(i, n, 2) for i in range(1, n + 1)]
+    gens += [Monomial.from_pairs([(i, 1), (j, 1)], n)
+             for i, j in itertools.combinations(range(1, n + 1), 2)]
+    J = MonomialIdeal.from_gens(tuple(gens), n)
+    with pytest.raises(CapExceeded) as exc:
+        betti_table(J, gen_cap=None, lattice_cap=10**30)
+    assert exc.value.limit == 2**63 - 1 < exc.value.actual

@@ -309,3 +309,23 @@ def test_horizon_below_one_rejected(squares_file, command, horizon):
     with pytest.raises(SystemExit) as e:
         main([command, squares_file, "--horizon", horizon])
     assert e.value.code == 2
+
+
+EXPLORE_ARGV = ["explore", "--count", "2", "--index", "2", "--gens", "2",
+                "--max-exponent", "2", "--max-degree", "3", "--seed", "11"]
+
+
+def test_explore_negative_horizon_rejected_before_output(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(EXPLORE_ARGV + ["--horizon", "-1"])
+    assert e.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_explore_horizon_zero_samples_one_width(capsys):
+    assert main(EXPLORE_ARGV + ["--horizon", "0"]) == 0
+    assert capsys.readouterr().out == (
+        "seed,r,gens,w,lambda,q,pd_slope,pd_onset,reg_slope,reg_onset,status\n"
+        "11,2,1,1,1,1,,,,,undetermined\n"
+        "12,2,1,2,2,5,,,,,undetermined\n"
+    )
