@@ -8,11 +8,19 @@ strictly below a, so the complex is a union of simplices and is determined
 by those facets.
 
 Betti numbers vanish away from the lcm lattice (all least common multiples
-of subsets of the minimal generators), so the table is assembled by walking
-that lattice.  The lattice is built by closing the generator set under
-pairwise lcm, which is equivalent to enumerating subsets but stays
-proportional to the lattice size; lattice points are deduplicated as
-sortable keys (integers, or bytes for very wide exponent ranges).
+of subsets of the minimal generators), so a table is built in three stages.
+`_lattice_matrix` closes the generator set under pairwise lcm, in time
+proportional to the lattice size, deduplicating points as sortable keys
+(integers, or bytes for very wide exponent ranges).  `_complex_classes`
+reads each point's complex off its divisibility and tight-vertex masks (g
+dividing x^a is tight at each j with g_j = a_j): the maximal facets are
+the complements of the minimal tight masks.  `_class_ranks` computes the
+homology of each distinct facet set once.
+
+Every coordinate of a = lcm(S) is attained by some g in S, which divides
+x^a, so each support vertex of a lattice point is tight for a divisor.
+Cones, which carry no homology, are found from the minimal tight masks
+alone: a vertex in none of them lies in every maximal facet.
 
 When the generator set is closed under permuting the variables (read off
 the generators, as the Sym chain terms are), so is the Betti table:
@@ -36,7 +44,7 @@ with a twist", 2011).  Two shortcuts keep large saturated-chain ideals
 tractable; both are cross-checked in the test suite against the dense
 reference path in ``simplicial``:
 
-* cones (a vertex common to all facets) are skipped outright;
+* cones are skipped before any face is enumerated;
 * per complex, either the complex itself or its combinatorial Alexander
   dual is reduced, whichever has fewer faces, using
   dim H~_{i-1}(D) = dim H~_{s-i-2}(dual D) over a field.  The dual has
@@ -350,55 +358,66 @@ def _class_ranks(s: int, facets: tuple[int, ...], p: int) -> dict[int, int]:
     return {s - k - 1: h for k, h in _ranks_from_faces(dual, s, p).items()}
 
 
-def _complex_classes(supp: np.ndarray, tights: np.ndarray, n: int):
-    """The relabelled maximal facets of the upper Koszul complexes of a block.
+def _complex_classes(points: np.ndarray, gens: np.ndarray):
+    """The relabelled maximal facets of the upper Koszul complexes at `points`.
 
-    Row r of `tights` holds the tight vertex masks of the generators that
-    divide lattice point r, padded with supp[r] (the empty facet, which
-    never changes the maximal facets).  The facets are the complements in
-    supp of the minimal tight masks.  Yields (r, s, facets) for each row
-    whose complex is not a cone, with the facets relabelled onto
-    0..s-1 along the support and sorted: the key of `_class_ranks`.
+    Yields (point index, s, facets) for each point whose complex is not a
+    cone, with the facets relabelled onto 0..s-1 along the support and
+    sorted: the key of `_class_ranks`.  The points must be lcm-lattice
+    points, so that the minimal tight masks decide the cones.
     """
-    t = np.sort(tights, axis=1)
-    # repeated masks become padding; masks are subsets of supp, so
-    # numerically at most supp, and padding sorts last
-    t[:, 1:] = np.where(t[:, 1:] == t[:, :-1], supp[:, None], t[:, 1:])
-    t.sort(axis=1)
-    count = (t < supp[:, None]).sum(axis=1)
-    order = np.argsort(count, kind="stable")
-    lo = 0
-    while lo < len(order):
-        # group rows of similar count so that rows * width^2 stays bounded
-        cost = np.arange(1, len(order) - lo + 1) * (count[order[lo:]] + 1) ** 2
-        hi = lo + max(1, int(np.searchsorted(cost, _BLOCK_CELLS, side="right")))
-        rows = order[lo:hi]
-        lo = hi
-        width = min(int(count[rows[-1]]) + 1, t.shape[1])
-        tt = t[rows, :width]
-        sp = supp[rows]
-        # in a sorted row a proper subset sits to the left, and of equal
-        # padding only the leftmost copy can be minimal
-        left_subset = ((tt[:, None, :] & ~tt[:, :, None]) == 0) & np.tri(
-            width, k=-1, dtype=bool
-        )
-        minimal = ~left_subset.any(axis=2)
-        # a vertex in no minimal tight mask lies in every maximal facet: cone
-        open_ = np.bitwise_or.reduce(np.where(minimal, tt, 0), axis=1) == sp
-        if not open_.any():
-            continue
-        rows, tt, sp, minimal = rows[open_], tt[open_], sp[open_], minimal[open_]
-        relabeled = np.zeros_like(tt)
-        below = np.zeros(len(rows), dtype=np.int64)  # support vertices below j
+    n = gens.shape[1]
+    chunk = max(1, _BLOCK_CELLS // len(gens))
+    for first in range(0, len(points), chunk):
+        block = points[first : first + chunk]
+        # divisibility and tight-vertex masks, one variable at a time
+        div = np.ones((len(block), len(gens)), dtype=bool)
+        tight = np.zeros((len(block), len(gens)), dtype=np.int64)
+        supp = np.zeros(len(block), dtype=np.int64)
         for j in range(n):
-            relabeled |= ((tt >> j) & 1) << below[:, None]
-            below += (sp >> j) & 1
-        full = (np.int64(1) << below) - 1
-        facets = np.where(minimal, full[:, None] ^ relabeled, np.iinfo(np.int64).max)
-        facets.sort(axis=1)
-        sizes = minimal.sum(axis=1)
-        for r, s, f, k in zip(rows.tolist(), below.tolist(), facets, sizes.tolist()):
-            yield r, s, tuple(f[:k].tolist())
+            le = block[:, j, None]
+            ge = gens[None, :, j]
+            div &= ge <= le
+            np.bitwise_or(tight, np.int64(1) << j, out=tight, where=ge == le)
+            supp |= (block[:, j] > 0).astype(np.int64) << j
+        # a non-divisor pads with supp (the empty facet, which never changes
+        # the maximal facets); repeated masks become padding too.  Masks are
+        # subsets of supp, so numerically at most supp, and padding sorts last
+        t = np.sort(np.where(div, tight & supp[:, None], supp[:, None]), axis=1)
+        t[:, 1:] = np.where(t[:, 1:] == t[:, :-1], supp[:, None], t[:, 1:])
+        t.sort(axis=1)
+        count = (t < supp[:, None]).sum(axis=1)
+        order = np.argsort(count, kind="stable")
+        lo = 0
+        while lo < len(order):
+            # group rows of similar count so that rows * width^2 stays bounded
+            cost = np.arange(1, len(order) - lo + 1) * (count[order[lo:]] + 1) ** 2
+            hi = lo + max(1, int(np.searchsorted(cost, _BLOCK_CELLS, side="right")))
+            rows = order[lo:hi]
+            lo = hi
+            width = min(int(count[rows[-1]]) + 1, t.shape[1])
+            tt = t[rows, :width]
+            sp = supp[rows]
+            # in a sorted row a proper subset sits to the left, and of equal
+            # padding only the leftmost copy can be minimal
+            left_subset = ((tt[:, None, :] & ~tt[:, :, None]) == 0) & np.tri(
+                width, k=-1, dtype=bool
+            )
+            minimal = ~left_subset.any(axis=2)
+            # a vertex in no minimal tight mask lies in every maximal facet: cone
+            open_ = np.bitwise_or.reduce(np.where(minimal, tt, 0), axis=1) == sp
+            rows, tt, sp, minimal = rows[open_], tt[open_], sp[open_], minimal[open_]
+            relabeled = np.zeros_like(tt)
+            below = np.zeros(len(rows), dtype=np.int64)  # support vertices below j
+            for j in range(n):
+                relabeled |= ((tt >> j) & 1) << below[:, None]
+                below += (sp >> j) & 1
+            full = (np.int64(1) << below) - 1
+            facets = np.where(minimal, full[:, None] ^ relabeled, np.iinfo(np.int64).max)
+            facets.sort(axis=1)
+            sizes = minimal.sum(axis=1)
+            for r, s, f, k in zip(rows.tolist(), below.tolist(), facets, sizes.tolist()):
+                yield first + r, s, tuple(f[:k].tolist())
 
 
 # -- Betti tables ----------------------------------------------------------
@@ -509,34 +528,15 @@ def _table(ideal: MonomialIdeal, p: int, lattice_cap: int) -> BettiTable:
     one point per orbit.
     """
     gens = _dense(ideal)
-    n = ideal.ambient
     lattice, weights = _lattice_matrix(gens, lattice_cap, _symmetric(gens))
     degrees: list[int] = []
     points: list[int] = []
     dims: list[int] = []
-
-    chunk = max(1, _BLOCK_CELLS // len(gens))
-    for lo in range(0, len(lattice), chunk):
-        block = lattice[lo : lo + chunk]
-        # divisibility and tight-vertex masks, one variable at a time
-        div = np.ones((len(block), len(gens)), dtype=bool)
-        tight = np.zeros((len(block), len(gens)), dtype=np.int64)
-        supp = np.zeros(len(block), dtype=np.int64)
-        for j in range(n):
-            le = block[:, j, None]
-            ge = gens[None, :, j]
-            div &= ge <= le
-            np.bitwise_or(tight, np.int64(1) << j, out=tight, where=ge == le)
-            supp |= (block[:, j] > 0).astype(np.int64) << j
-        tight = np.where(div, tight & supp[:, None], 0)  # tight vertices of divisors
-        # a vertex tight for no divisor lies in every facet: the complex is a cone
-        live = np.flatnonzero(np.bitwise_or.reduce(tight, axis=1) == supp)
-        padded = np.where(div[live], tight[live], supp[live, None])
-        for row, s, facets in _complex_classes(supp[live], padded, n):
-            for i, h in _class_ranks(s, facets, p).items():
-                degrees.append(i)
-                points.append(lo + int(live[row]))
-                dims.append(h)
+    for point, s, facets in _complex_classes(lattice, gens):
+        for i, h in _class_ranks(s, facets, p).items():
+            degrees.append(i)
+            points.append(point)
+            dims.append(h)
 
     return BettiTable(
         np.array(degrees, dtype=np.int64),
@@ -544,7 +544,7 @@ def _table(ideal: MonomialIdeal, p: int, lattice_cap: int) -> BettiTable:
         np.array(dims, dtype=np.int64),
         weights[points],
         p,
-        n,
+        ideal.ambient,
     )
 
 

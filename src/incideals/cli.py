@@ -220,70 +220,40 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_explore(args: argparse.Namespace) -> int:
     field = _field(args)
     print("seed,r,gens,w,lambda,q,pd_slope,pd_onset,reg_slope,reg_onset,status")
-    for k in range(args.count):
+    for seed in range(args.seed, args.seed + args.count):
         params = RandomChainParams(
             index=args.index,
             num_gens=args.gens,
             max_exponent=args.max_exponent,
             max_degree=args.max_degree,
-            seed=args.seed + k,
+            seed=seed,
         )
         chain = random_chain(params)
-        seed_ideal = term(chain, chain.index)
+        row = [seed, chain.index, len(chain.seed.gens)]
         try:
             inv = chain_invariants(chain)
-        except CapExceeded as exc:
-            print(
-                f"{params.seed},{chain.index},{len(seed_ideal.gens)},,,,,,,,partial"
-            )
+        except CapExceeded:
+            print(",".join(map(str, row + [""] * 7 + ["partial"])))
             continue
-        cells = {
-            "pd_slope": "",
-            "pd_onset": "",
-            "reg_slope": "",
-            "reg_onset": "",
-        }
-        status = "ok"
+        row += [inv.w, inv.lambda_, inv.q]
+        truncated = undetermined = False
         for metric in ("pd", "reg"):
-            try:
-                rep = series(
-                    chain,
-                    metric,
-                    chain.index,
-                    chain.index + args.horizon,
-                    field=field,
-                    gen_cap=args.gen_cap,
-                    lattice_cap=args.lattice_cap,
-                    budget=args.budget,
-                    jobs=args.jobs,
-                )
-            except CapExceeded:
-                status = "partial"
-                continue
-            if rep.truncated is not None:
-                status = "partial"
-            if rep.fit is not None:
-                cells[f"{metric}_slope"] = str(rep.fit.slope)
-                cells[f"{metric}_onset"] = str(rep.fit.onset)
-            elif status == "ok":
-                status = "undetermined"
-        print(
-            ",".join(
-                [
-                    str(params.seed),
-                    str(chain.index),
-                    str(len(seed_ideal.gens)),
-                    str(inv.w),
-                    str(inv.lambda_),
-                    str(inv.q),
-                    cells["pd_slope"],
-                    cells["pd_onset"],
-                    cells["reg_slope"],
-                    cells["reg_onset"],
-                    status,
-                ]
+            rep = series(
+                chain,
+                metric,
+                chain.index,
+                chain.index + args.horizon,
+                field=field,
+                gen_cap=args.gen_cap,
+                lattice_cap=args.lattice_cap,
+                budget=args.budget,
+                jobs=args.jobs,
             )
-        )
+            truncated |= rep.truncated is not None
+            undetermined |= rep.fit is None
+            row += ["", ""] if rep.fit is None else [rep.fit.slope, rep.fit.onset]
+        row.append("partial" if truncated else "undetermined" if undetermined else "ok")
+        print(",".join(map(str, row)))
     return EXIT_OK
 
 

@@ -218,22 +218,15 @@ def _minimal_monomials(monomials: Iterable[Monomial]) -> list[Monomial]:
     Distinct monomials of equal degree never divide one another, so each
     candidate is only tested against the strictly smaller degrees.
     """
-    ordered = sorted(set(monomials), key=Monomial.sort_key)
     kept: list[Monomial] = []
-    degree_starts: list[tuple[int, int]] = []  # (degree, first index in kept)
-    for u in ordered:
+    degree = below = 0  # kept[:below] holds the degrees below `degree`
+    for u in sorted(set(monomials), key=Monomial.sort_key):
         if u.is_one:
             return [u]
-        end = len(kept)
-        for d, start in degree_starts:
-            if d >= u.degree:
-                end = start
-                break
-        if any(v.divides(u) for v in kept[:end]):
-            continue
-        if not degree_starts or degree_starts[-1][0] != u.degree:
-            degree_starts.append((u.degree, len(kept)))
-        kept.append(u)
+        if u.degree != degree:
+            degree, below = u.degree, len(kept)
+        if not any(v.divides(u) for v in kept[:below]):
+            kept.append(u)
     return kept
 
 

@@ -2,6 +2,7 @@ import itertools
 import random
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
@@ -34,6 +35,7 @@ from incideals import (
 from incideals.betti import (
     DEFAULT_LATTICE_CAP,
     _class_ranks,
+    _complex_classes,
     _dense,
     _lattice_matrix,
     _row_keys,
@@ -475,3 +477,49 @@ def test_lattice_cap_is_at_most_int64():
     with pytest.raises(CapExceeded) as exc:
         betti_table(J, gen_cap=None, lattice_cap=10**30)
     assert exc.value.limit == 2**63 - 1 < exc.value.actual
+
+
+@st.composite
+def small_ideals(draw):
+    n = draw(st.integers(1, 6))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any),
+            min_size=1,
+            max_size=7,
+        )
+    )
+    return MonomialIdeal.from_gens(tuple(Monomial.from_dense(r, n) for r in rows), n)
+
+
+def lattice_rows(J, symmetric):
+    """All lcm_lattice points, or the orbit representatives of the symmetric route."""
+    if symmetric:
+        return _lattice_matrix(_dense(J), DEFAULT_LATTICE_CAP, symmetric=True)[0]
+    points = sorted(lcm_lattice(J, gen_cap=None), key=Monomial.sort_key)
+    return np.array([a.dense() for a in points], dtype=np.int16)
+
+
+@given(small_ideals(), symmetric_ideals())
+def test_lattice_support_vertices_are_tight_for_a_divisor(J, K):
+    # a_j is attained by a generator whose lcm gives a, and it divides x^a;
+    # `_complex_classes` finds every cone from the minimal tight masks on this
+    for I, symmetric in ((J, False), (K, True)):
+        gens = [g.dense() for g in I.gens]
+        for a in lattice_rows(I, symmetric).tolist():
+            divisors = [g for g in gens if all(x <= y for x, y in zip(g, a))]
+            for j, e in enumerate(a):
+                assert not e or any(g[j] == e for g in divisors), (I, a, j)
+
+
+@given(small_ideals(), symmetric_ideals())
+def test_complex_classes_skip_exactly_the_cones(J, K):
+    for I, symmetric in ((J, False), (K, True)):
+        rows = lattice_rows(I, symmetric)
+        classes = {r: (s, facets) for r, s, facets in _complex_classes(rows, _dense(I))}
+        for r, a in enumerate(rows.tolist()):
+            koszul = koszul_complex(I, Monomial.from_dense(a, I.ambient))
+            if koszul.is_cone:
+                assert r not in classes, (I, a)
+            else:
+                assert classes[r] == (len(koszul.vertices), koszul.facet_masks()), (I, a)

@@ -329,3 +329,36 @@ def test_explore_horizon_zero_samples_one_width(capsys):
         "11,2,1,1,1,1,,,,,undetermined\n"
         "12,2,1,2,2,5,,,,,undetermined\n"
     )
+
+
+EXPLORE_HEADER = "seed,r,gens,w,lambda,q,pd_slope,pd_onset,reg_slope,reg_onset,status\n"
+
+
+@pytest.mark.parametrize(
+    "extra, rows",
+    [
+        # seed 5, <x1^34>, needs a horizon past the cap of chain_invariants
+        (
+            ["--count", "6", "--seed", "0", "--index", "1", "--gens", "1",
+             "--max-exponent", "40", "--max-degree", "40", "--horizon", "2"],
+            "0,1,1,3,3,3,,,,,undetermined\n"
+            "1,1,1,17,17,17,,,,,undetermined\n"
+            "2,1,1,6,6,6,,,,,undetermined\n"
+            "3,1,1,24,24,24,,,,,undetermined\n"
+            "4,1,1,7,7,7,,,,,undetermined\n"
+            "5,1,1,,,,,,,,partial\n",
+        ),
+        # the lattice cap truncates series with and without a fit
+        (
+            ["--count", "4", "--seed", "3", "--horizon", "4", "--lattice-cap", "50"],
+            "3,3,2,1,1,9,1,3,0,3,partial\n"
+            "4,3,1,1,1,2,1,3,0,3,ok\n"
+            "5,3,2,1,1,4,,,,,partial\n"
+            "6,3,2,1,1,15,,,,,partial\n",
+        ),
+    ],
+    ids=["horizon_cap", "lattice_cap"],
+)
+def test_explore_rows_pinned(capsys, extra, rows):
+    assert main(["explore"] + extra) == 0
+    assert capsys.readouterr().out == EXPLORE_HEADER + rows
