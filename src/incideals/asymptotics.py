@@ -356,6 +356,11 @@ def check_reg_slope(
     return CheckResult(name, True, holds, details)
 
 
+def _keyed(degrees, rows, dims, shift: int = 0) -> dict:
+    """{(i + shift, row tuple): dim} over expanded Betti table arrays."""
+    return dict(zip(zip((degrees + shift).tolist(), map(tuple, rows.tolist())), dims.tolist()))
+
+
 def check_betti_propagation(
     chain: Chain,
     n: int,
@@ -383,24 +388,23 @@ def check_betti_propagation(
     lam = inv.lambda_
     t1 = betti_table(term(chain, n), field, gen_cap, lattice_cap)
     t2 = betti_table(term(chain, n + 1), field, gen_cap, lattice_cap)
-    degrees = {(i, a.exps) for i, a, _ in t2.entries}
+    degrees = _keyed(*t2.expanded).keys()
     failures = []
-    checked = 0
-    for i, a, _ in t1.entries:
-        t = a.maxsupp
-        a_t = a.exponent(t)
-        checked += 1
+    degrees1, rows1, _ = t1.expanded
+    for i, a in zip(degrees1.tolist(), rows1.tolist()):
+        t = max((j for j, e in enumerate(a, 1) if e), default=0)  # maxsupp(a)
+        a_t = a[t - 1] if t else 0
         if a_t < lam:
-            failures.append((i, str(a), "top exponent below lambda"))
+            failures.append((i, str(Monomial.from_dense(a)), "top exponent below lambda"))
             continue
-        # a * x_{t+1}^p appends (t+1, p) to the exponents of a
+        # a * x_{t+1}^p puts p in the zero column t+1 of a, widened by one
+        head, tail = tuple(a[:t]), tuple(a[t:])
         found = any(
-            (i + 1, a.exps + ((t + 1, p),)) in degrees
-            for p in range(lam, a_t + 1)
+            (i + 1, head + (p,) + tail) in degrees for p in range(lam, a_t + 1)
         )
         if not found:
-            failures.append((i, str(a), "no successor degree"))
-    details = {"checked": checked, "failures": failures, "lambda": lam}
+            failures.append((i, str(Monomial.from_dense(a)), "no successor degree"))
+    details = {"checked": len(degrees1), "failures": failures, "lambda": lam}
     return CheckResult(name, True, not failures, details)
 
 
@@ -439,19 +443,20 @@ def check_msat_identities(
             if not jn1.is_zero
             else None
         )
-        # x_n is the last variable, so its exponent m is the last pair
-        lhs = Counter({
-            (i, Monomial(a.exps[:-1], n - 1)): v
-            for i, a, v in tj.entries
-            if a.exponent(n) == m
-        })
-        rhs = Counter({(i, a): v for i, a, v in ti.entries})
+        # x_n is the last column: the degrees (a, m) of J_n, with m dropped
+        degrees, rows, dims = tj.expanded
+        top = rows[:, -1] == m
+        lhs = Counter(_keyed(degrees[top], rows[top, :-1], dims[top]))
+        rhs = Counter(_keyed(*ti.expanded))
         if tj1 is not None:
-            for i, a, v in tj1.entries:
-                rhs[i + 1, a] += v
-        wrong = [k for k in lhs.keys() | rhs.keys() if lhs[k] != rhs[k]]
-        for i, a in sorted(wrong, key=lambda k: (k[0], k[1].sort_key())):
-            failures.append((n, i, str(a), lhs[i, a], rhs[i, a]))
+            rhs.update(_keyed(*tj1.expanded, shift=1))
+        wrong = [
+            (i, Monomial.from_dense(a), lhs[i, a], rhs[i, a])
+            for i, a in lhs.keys() | rhs.keys()
+            if lhs[i, a] != rhs[i, a]
+        ]
+        wrong.sort(key=lambda w: (w[0], w[1].sort_key()))
+        failures += [(n, i, str(a), left, right) for i, a, left, right in wrong]
         expected = ti.reg() + m
         if tj1 is not None:
             expected = max(expected, tj1.reg() + m - 1)

@@ -32,9 +32,11 @@ trips at the same size with or without symmetry.
 
 A `BettiTable` is a set of arrays, one row per nonzero
 (i, representative, dim) with the representative's orbit size: pd, reg
-and the totals are array reductions.  Its `entries`, every multidegree as
-a `Monomial` in sorted order, are expanded from the representatives the
-first time they are read and then kept.
+and the totals are array reductions.  Consumers read `expanded`, the same
+arrays with every orbit expanded, one int16 row per multidegree, sorted by
+i and then by `Monomial.sort_key`; it is built the first time it is read
+and then kept.  `entries` is its `Monomial` view, for the tests and the
+Euler audit.
 
 Homology ranks come from sparse column reduction over GF(p), one boundary
 map at a time from the top face size down, with clearing: a face that is
@@ -477,21 +479,43 @@ class BettiTable:
         return acc
 
     @cached_property
+    def expanded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every nonzero beta_{i,a} as arrays (degrees, rows, dims), one row
+        per multidegree a, sorted by i and then by `Monomial.sort_key`.
+
+        Rows of weight w > 1 are expanded over their orbits.  Two rows of
+        one total degree first differ at some column j, and their
+        (index, exponent) pairs first differ there too: by exponent, or,
+        where one row is 0 at j, by the index of its next pair (it has one,
+        the degrees being equal), which is larger.  So the pairs compare
+        like the dense rows with 0 read as the largest exponent.
+        """
+        degrees, rows, dims = self.degrees, self.rows, self.dims
+        if len(self.weights) and self.weights.max() > 1:
+            orbits = []
+            last = None
+            for row in rows.tolist():
+                if row != last:  # `_table` records the degrees of a point together
+                    last = row
+                    orbit = np.array(_arrangements(row), dtype=np.int16)
+                orbits.append(orbit)
+            degrees = np.repeat(degrees, self.weights)
+            rows = np.concatenate(orbits)
+            dims = np.repeat(dims, self.weights)
+        zero_last = rows.astype(np.uint16) - np.uint16(1)  # 0 wraps to 65535
+        total = rows.sum(axis=1, dtype=np.int64)
+        order = np.lexsort((*zero_last.T[::-1], total, degrees))
+        return degrees[order], rows[order], dims[order]
+
+    @cached_property
     def entries(self) -> tuple[tuple[int, Monomial, int], ...]:
-        """Every nonzero (i, multidegree, dim), sorted by i and then by
-        `Monomial.sort_key`: the rows expanded over their orbits."""
-        out = []
-        last = None
-        for i, row, v, w in zip(
-            self.degrees.tolist(), self.rows.tolist(), self.dims.tolist(), self.weights.tolist()
-        ):
-            if row != last:  # `_table` records the degrees of a point together
-                last = row
-                orbit = _arrangements(row) if w > 1 else [row]
-                points = [Monomial.from_dense(a, self.ambient) for a in orbit]
-            out.extend((i, a, v) for a in points)
-        out.sort(key=lambda t: (t[0], t[1].sort_key()))
-        return tuple(out)
+        """Every nonzero (i, multidegree, dim) of `expanded`, the
+        multidegree as a `Monomial`."""
+        degrees, rows, dims = self.expanded
+        return tuple(
+            (i, Monomial.from_dense(a, self.ambient), v)
+            for i, a, v in zip(degrees.tolist(), rows.tolist(), dims.tolist())
+        )
 
 
 def betti_table(

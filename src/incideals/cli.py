@@ -13,6 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
+
+import numpy as np
 
 from .asymptotics import (
     SERIES_METRICS,
@@ -139,10 +142,18 @@ def cmd_betti(args: argparse.Namespace) -> int:
     table = betti_table(
         term(chain, args.n), _field(args), args.gen_cap, args.lattice_cap
     )
-    print("i,multidegree,value")
-    for i, a, v in table.entries:
-        print(f"{i},{a},{v}")
-    print(f"# pd {table.pd()} reg {table.reg()} char {table.char}")
+    degrees, rows, dims = table.expanded
+    # the factor x_j^e for each exponent e that occurs in column j
+    names = [
+        {e: f"x{j}^{e}" if e > 1 else f"x{j}" for e in np.unique(col).tolist()}
+        for j, col in enumerate(rows.T, 1)
+    ]
+    lines = ["i,multidegree,value"]
+    for i, row, v in zip(degrees.tolist(), rows.tolist(), dims.tolist()):
+        a = "*".join([names[j][e] for j, e in enumerate(row) if e]) or "1"
+        lines.append(f"{i},{a},{v}")
+    lines.append(f"# pd {table.pd()} reg {table.reg()} char {table.char}")
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -318,9 +329,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state between calls, so one parser serves them all
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ChainFileError as exc:

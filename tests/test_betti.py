@@ -523,3 +523,35 @@ def test_complex_classes_skip_exactly_the_cones(J, K):
                 assert r not in classes, (I, a)
             else:
                 assert classes[r] == (len(koszul.vertices), koszul.facet_masks()), (I, a)
+
+
+def expanded_by_monomials(T):
+    """The orbit rows of T, one per multidegree, sorted by (i, sort_key)."""
+    rows = []
+    for i, row, v, w in zip(T.degrees.tolist(), T.rows.tolist(), T.dims.tolist(),
+                            T.weights.tolist()):
+        orbit = sorted(set(itertools.permutations(row))) if w > 1 else [tuple(row)]
+        assert len(orbit) == w
+        rows += [(i, a, v) for a in orbit]
+    rows.sort(key=lambda t: (t[0], Monomial.from_dense(t[1]).sort_key()))
+    return rows
+
+
+@given(small_ideals(), symmetric_ideals())
+def test_expanded_is_sorted_like_entries(J, K):
+    for I in (J, K):
+        T = betti_table(I, gen_cap=None)
+        degrees, rows, dims = T.expanded
+        assert rows.dtype == np.int16 and rows.shape == (len(degrees), I.ambient)
+        got = list(zip(degrees.tolist(), map(tuple, rows.tolist()), dims.tolist()))
+        assert got == expanded_by_monomials(T), I
+        assert [(i, a.dense(), v) for i, a, v in T.entries] == got
+
+
+def test_expanded_orders_pairs_not_dense_rows():
+    # x1*x3 before x2^2: (1, 1) < (2, 2) as pairs, though (1, 0, 1) > (0, 2, 0)
+    T = betti_table(ideal([[(1, 1), (3, 1)], [(2, 2)]], 3))
+    degrees, rows, _ = T.expanded
+    assert degrees[:2].tolist() == [0, 0]
+    assert rows[:2].tolist() == [[1, 0, 1], [0, 2, 0]]
+    assert [str(a) for _, a, _ in T.entries[:2]] == ["x1*x3", "x2^2"]

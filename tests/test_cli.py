@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import incideals
+import incideals.cli as cli
 from incideals.cli import main
 
 MIXED = "index 3\ngen x1^2\ngen x2^2*x3\ngen x3^2\n"
@@ -61,6 +67,31 @@ def test_betti_csv(mixed_file, capsys):
     assert "0,x1^2,1" in out
     assert "3,x1^2*x2^2*x3^2*x4^2,1" in out
     assert out[-1].startswith("# pd 3 reg 5")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "text,argv,golden",
+    [
+        # symmetric terms: orbit rows of weight > 1 are expanded
+        (SYM, ["--n", "6"], "betti_sym_n6.csv"),
+        (MIXED, ["--n", "5"], "betti_mixed_n5.csv"),
+        # the saturation leaves this term as it is
+        (MIXED, ["--n", "5", "--saturation"], "betti_mixed_n5.csv"),
+        # the unit ideal: one entry at the zero multidegree
+        ("index 1\ngen 1\n", ["--n", "2"], "betti_unit_n2.csv"),
+        ("index 2\ngen x1^12*x2\ngen x2^11\n", ["--n", "4", "--char", "2"],
+         "betti_two_digit_n4_char2.csv"),
+    ],
+    ids=["sym", "mixed", "mixed_saturation", "unit", "two_digit_char2"],
+)
+def test_betti_csv_golden(tmp_path, capsys, text, argv, golden):
+    p = tmp_path / "golden.chain"
+    p.write_text(text)
+    assert main(["betti", str(p), *argv]) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
 
 def test_series_csv_with_fit(squares_file, capsys):
@@ -362,3 +393,44 @@ EXPLORE_HEADER = "seed,r,gens,w,lambda,q,pd_slope,pd_onset,reg_slope,reg_onset,s
 def test_explore_rows_pinned(capsys, extra, rows):
     assert main(["explore"] + extra) == 0
     assert capsys.readouterr().out == EXPLORE_HEADER + rows
+
+
+def test_verify_check_list_is_not_kept_between_calls(mixed_file, capsys):
+    assert main(["verify", mixed_file, "--check", "pd"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1
+    assert main(["verify", mixed_file]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 5
+
+
+def test_betti_after_a_usage_error_matches_a_fresh_process(mixed_file, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["betti", mixed_file, "--n", "four"])
+    assert e.value.code == 2
+    capsys.readouterr()
+    argv = ["betti", mixed_file, "--n", "4"]
+    assert main(argv) == 0
+    src = os.path.dirname(os.path.dirname(incideals.__file__))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "incideals.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        check=True,
+    )
+    assert capsys.readouterr().out == fresh.stdout
+
+
+def test_series_jobs_default_after_a_parallel_call(squares_file, monkeypatch, capsys):
+    jobs = []
+    series = cli.series
+
+    def recording(*args, **kwargs):
+        jobs.append(kwargs["jobs"])
+        return series(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "series", recording)
+    argv = ["series", squares_file, "--metric", "pd", "--from", "1", "--to", "3"]
+    assert main(argv + ["--jobs", "2"]) == 0
+    assert main(argv) == 0
+    assert jobs == [2, 1]
+    capsys.readouterr()
