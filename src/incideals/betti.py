@@ -14,8 +14,9 @@ proportional to the lattice size, deduplicating points as sortable keys
 (integers, or bytes for very wide exponent ranges).  `_complex_classes`
 reads each point's complex off its divisibility and tight-vertex masks (g
 dividing x^a is tight at each j with g_j = a_j): the maximal facets are
-the complements of the minimal tight masks.  `_class_ranks` computes the
-homology of each distinct facet set once.
+the complements of the minimal tight masks.  `_strong_core` shrinks each
+distinct facet set to its strong core, and `_class_ranks` computes the
+homology of each distinct core once per characteristic.
 
 Every coordinate of a = lcm(S) is attained by some g in S, which divides
 x^a, so each support vertex of a lattice point is tight for a divisor.
@@ -42,30 +43,41 @@ Homology ranks come from sparse column reduction over GF(p), one boundary
 map at a time from the top face size down, with clearing: a face that is
 the pivot of a reduced column one level up has a column that reduces to
 zero, so it is skipped (Chen-Kerber, "Persistent homology computation
-with a twist", 2011).  Two shortcuts keep large saturated-chain ideals
-tractable; both are cross-checked in the test suite against the dense
+with a twist", 2011).  Three shortcuts keep large saturated-chain ideals
+tractable; all are cross-checked in the test suite against the dense
 reference path in ``simplicial``:
 
 * cones are skipped before any face is enumerated;
-* per complex, either the complex itself or its combinatorial Alexander
+* every other complex is shrunk to its strong core, on its facet masks
+  alone, before any face is enumerated: a vertex v is dominated when
+  every facet through v also contains some other vertex, and dominated
+  vertices are deleted one at a time while there is one.  Each deletion
+  is a strong deformation retract (Barmak-Minian, "Strong homotopy types,
+  nerves and collapses", 2012), so the reduced homology is unchanged over
+  every field, and the core does not depend on p;
+* per core, either the complex itself or its combinatorial Alexander
   dual is reduced, whichever has fewer faces, using
   dim H~_{i-1}(D) = dim H~_{s-i-2}(dual D) over a field.  The dual has
   exactly 2^s - |D| faces, so the choice needs no enumeration.
 
-Both caches are ``functools.lru_cache``s: the homology ranks of a complex
-class, keyed by its relabeled facet set, so that the many repeated orbit
-patterns along a chain are eliminated once (up to 65536 classes), and
-whole tables, keyed by (ideal, p, lattice_cap) (up to 256 tables).  Their
-``cache_info()`` reports hits and misses.
+The caches are ``functools.lru_cache``s.  Two serve the complex classes,
+so that the many repeated orbit patterns along a chain are reduced once:
+`_strong_core` maps a relabeled facet set (s, facets) to its core with no
+characteristic in the key, and `_class_ranks` maps (core, p) to the ranks
+(up to 65536 entries each).  Many classes share one core, so few rank
+computations remain; the cache in front of the core keeps a repeated
+class at one lookup.  Whole tables are cached per (ideal, p, lattice_cap)
+(up to 256 tables).  Each ``cache_info()`` reports hits and misses.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -344,16 +356,55 @@ def _ranks_from_faces(faces: set[int], s: int, p: int) -> dict[int, int]:
 
 
 @lru_cache(maxsize=1 << 16)
+def _strong_core(s: int, facets: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """The strong core (k, facets) of a complex given by maximal facets.
+
+    A vertex v is dominated when every facet through v also contains some
+    other vertex; deleting it keeps the complex's strong homotopy type
+    (Barmak-Minian, "Strong homotopy types, nerves and collapses", 2012),
+    so the reduced homology in every characteristic.  Dominated vertices
+    are deleted one at a time until none is left, and the vertices still
+    in a facet are relabelled onto 0..k-1 in order.  A cone ends as a
+    single vertex.
+    """
+    live = set(facets)
+    shrinking = True
+    while shrinking:
+        shrinking = False
+        for v in range(s):
+            bit = 1 << v
+            through = [f for f in live if f & bit]
+            if not through or reduce(operator.and_, through) == bit:
+                continue
+            # only a facet through v can become a subset of another one
+            rest = [g for g in live if not g & bit]
+            live = set(rest)
+            live.update(f ^ bit for f in through if all((f ^ bit) & ~g for g in rest))
+            shrinking = True
+    union = reduce(operator.or_, live, 0)
+    used = [v for v in range(s) if union >> v & 1]
+    relabeled = []
+    for f in live:
+        mask = 0
+        for new, v in enumerate(used):
+            mask |= (f >> v & 1) << new
+        relabeled.append(mask)
+    return len(used), tuple(sorted(relabeled))
+
+
+@lru_cache(maxsize=1 << 16)
 def _class_ranks(s: int, facets: tuple[int, ...], p: int) -> dict[int, int]:
     """Betti contributions {i: dim} for a complex given by maximal facets.
 
     The complex lives on s relabeled vertices; level i corresponds to
     H~_{i-1}.  The Alexander dual has exactly 2^s minus as many faces as
     the complex, so it is reduced instead when the complex holds more than
-    half of all subsets; ranks are cached per (s, facets, p).
+    half of all subsets; ranks are cached per (s, facets, p).  On no
+    vertices the dual of {empty face} is the void complex, where the
+    duality fails, so that complex is always reduced directly.
     """
     direct = face_closure(facets)
-    if 2 * len(direct) <= 1 << s:
+    if not s or 2 * len(direct) <= 1 << s:
         return _ranks_from_faces(direct, s, p)
     full = (1 << s) - 1
     dual = {f for f in range(full + 1) if full ^ f not in direct}
@@ -557,7 +608,7 @@ def _table(ideal: MonomialIdeal, p: int, lattice_cap: int) -> BettiTable:
     points: list[int] = []
     dims: list[int] = []
     for point, s, facets in _complex_classes(lattice, gens):
-        for i, h in _class_ranks(s, facets, p).items():
+        for i, h in _class_ranks(*_strong_core(s, facets), p).items():
             degrees.append(i)
             points.append(point)
             dims.append(h)

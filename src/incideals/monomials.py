@@ -251,7 +251,9 @@ class MonomialIdeal:
 
     Construct through :meth:`from_gens` (or :func:`minimalize`) unless the
     generators are already known to be canonical; the constructor verifies
-    canonicity and raises otherwise.
+    canonicity and raises otherwise.  Within this module, generator sets
+    that are canonical by construction go through `_canonical` instead,
+    which skips that check.
     """
 
     gens: tuple[Monomial, ...]
@@ -276,8 +278,19 @@ class MonomialIdeal:
             if not gens:
                 raise ValueError("cannot infer ambient width of the zero ideal")
             ambient = max(g.ambient for g in gens)
+        if ambient < 0:
+            raise ValueError("ambient width must be >= 0")
         gens = [g.embed(ambient) for g in gens]
-        return cls(tuple(_minimal_monomials(gens)), ambient)
+        return cls._canonical(tuple(_minimal_monomials(gens)), ambient)
+
+    @classmethod
+    def _canonical(cls, gens: tuple[Monomial, ...], ambient: int) -> MonomialIdeal:
+        """The ideal of generators already minimal, strictly sorted and of
+        width `ambient`, built without re-checking them."""
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "gens", gens)
+        object.__setattr__(ideal, "ambient", ambient)
+        return ideal
 
     @classmethod
     def zero(cls, ambient: int) -> MonomialIdeal:
@@ -334,8 +347,9 @@ class MonomialIdeal:
         """
         if k < 0:
             raise ValueError("width must be >= 0")
+        # a subset of the minimal generators, still minimal and in order
         kept = [Monomial(g.exps, k) for g in self.gens if g.maxsupp <= k]
-        return MonomialIdeal(tuple(kept), k)
+        return MonomialIdeal._canonical(tuple(kept), k)
 
     def embed(self, ambient: int) -> MonomialIdeal:
         """The ideal generated by the same monomials in a wider ring."""
@@ -343,7 +357,7 @@ class MonomialIdeal:
             raise ValueError("embed only widens; use restrict to cut variables")
         if ambient == self.ambient:
             return self
-        return MonomialIdeal(tuple(g.embed(ambient) for g in self.gens), ambient)
+        return MonomialIdeal._canonical(tuple(g.embed(ambient) for g in self.gens), ambient)
 
     def intersect(self, other: MonomialIdeal) -> MonomialIdeal:
         if other.ambient != self.ambient:

@@ -1,10 +1,12 @@
+import functools
 import itertools
+import operator
 import random
 from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 from incideals import (
@@ -25,6 +27,7 @@ from incideals import (
     koszul_complex,
     lcm,
     lcm_lattice,
+    m_saturation,
     pd,
     random_chain,
     reg,
@@ -39,6 +42,7 @@ from incideals.betti import (
     _dense,
     _lattice_matrix,
     _row_keys,
+    _strong_core,
     _symmetric,
 )
 from incideals.simplicial import face_closure
@@ -174,6 +178,16 @@ def test_betti_unit_table():
     assert T.pd() == 0 and T.reg() == 0
 
 
+def koszul_reference(J, field):
+    """{(i, a): beta_{i,a}} from `homology_ranks` at every lcm-lattice point."""
+    ref = {}
+    for a in lcm_lattice(J, gen_cap=None):
+        for i, h in homology_ranks(koszul_complex(J, a), field).items():
+            if h:
+                ref[(i + 1, a)] = h
+    return ref
+
+
 def test_fast_path_matches_reference_homology():
     rng = random.Random(7)
     for _ in range(30):
@@ -181,13 +195,7 @@ def test_fast_path_matches_reference_homology():
         if not J.is_proper:
             continue
         T = betti_table(J)
-        ref = {}
-        for a in lcm_lattice(J):
-            c = koszul_complex(J, a)
-            for i, h in homology_ranks(c, DEFAULT_FIELD).items():
-                if h:
-                    ref[(i + 1, a)] = h
-        assert {(i, a): v for i, a, v in T.entries} == ref, J
+        assert {(i, a): v for i, a, v in T.entries} == koszul_reference(J, DEFAULT_FIELD), J
 
 
 def test_no_homology_off_the_lattice():
@@ -248,12 +256,24 @@ def test_betti_matches_koszul_homology_on_chain_terms(p):
         for n in range(chain.index, 8):
             J = term(chain, n)
             got = {(i, a): v for i, a, v in betti_table(J, field, gen_cap=None).entries}
-            ref = {}
-            for a in lcm_lattice(J, gen_cap=None):
-                for i, h in homology_ranks(koszul_complex(J, a), field).items():
-                    if h:
-                        ref[(i + 1, a)] = h
-            assert got == ref, (seed, n, p)
+            assert got == koszul_reference(J, field), (seed, n, p)
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(1000, 1024),
+    st.sampled_from([None, 1, 2]),
+    st.integers(1, 7),
+    st.sampled_from([2, 32003]),
+)
+def test_betti_matches_koszul_homology_on_drawn_chain_terms(seed, m, n, p):
+    # saturated (m None) and m-saturated terms of the acceptance-corpus chains
+    base = corpus_chain(seed)
+    J = term(SaturationChain(base) if m is None else m_saturation(base, m), n)
+    assume(J.is_proper)
+    field = FieldSpec(p)
+    got = {(i, a): v for i, a, v in betti_table(J, field, gen_cap=None).entries}
+    assert got == koszul_reference(J, field)
 
 
 # the 6-vertex triangulation of the real projective plane
@@ -263,28 +283,70 @@ RP2_TRIANGLES = [
 ]
 
 
+def complex_on(s, facets):
+    return SimplicialComplex.from_facets_masks(facets, tuple(range(1, s + 1)))
+
+
 @st.composite
 def facet_classes(draw):
+    """(s, maximal facets): a nonvoid complex on s vertices, as `_complex_classes`
+    yields it."""
     s = draw(st.integers(1, 9))
     facets = draw(st.lists(st.integers(0, (1 << s) - 1), min_size=1, max_size=8))
-    return s, tuple(sorted(set(facets)))
+    return s, complex_on(s, facets).facet_masks()
+
+
+def dominated_vertices(s, facets):
+    """Vertices v such that every facet through v holds some other vertex."""
+    maximal = complex_on(s, facets).facet_masks()
+    out = []
+    for v in range(s):
+        through = [f for f in maximal if f >> v & 1]
+        if through and any(all(f >> w & 1 for f in through) for w in range(s) if w != v):
+            out.append(v)
+    return out
 
 
 def test_class_ranks_match_reference_homology():
     dual_used = set()
 
+    # random facets rarely leave a core with at most half of all subsets
+    # as faces, so two such cores are given: RP^2 and the 5-cycle
     @given(facet_classes(), st.sampled_from([2, 3, 32003]))
+    @example((6, tuple(sorted(sum(1 << (v - 1) for v in t) for t in RP2_TRIANGLES))), 2)
+    @example((5, (0b00011, 0b00110, 0b01100, 0b10001, 0b11000)), 3)
     def check(case, p):
         s, facets = case
-        ref = homology_ranks(
-            SimplicialComplex.from_facets_masks(facets, tuple(range(1, s + 1))),
-            FieldSpec(p),
-        )
-        assert _class_ranks(s, facets, p) == {i + 1: h for i, h in ref.items() if h}
-        dual_used.add(2 * len(face_closure(facets)) > 1 << s)
+        ref = homology_ranks(complex_on(s, facets), FieldSpec(p))
+        k, core = _strong_core(s, facets)
+        assert _class_ranks(k, core, p) == {i + 1: h for i, h in ref.items() if h}
+        dual_used.add(k > 0 and 2 * len(face_closure(core)) > 1 << k)
 
     check()
-    assert dual_used == {False, True}  # both the complex and its dual were reduced
+    assert dual_used == {False, True}  # both a core and the dual of one were reduced
+
+
+@given(facet_classes(), st.sampled_from([2, 3, 32003]))
+def test_strong_core_is_a_core(case, p):
+    s, facets = case
+    k, core = _strong_core(s, facets)
+    # maximal facets on k vertices, each vertex used, none dominated
+    assert core == complex_on(k, core).facet_masks() == tuple(sorted(core))
+    assert functools.reduce(operator.or_, core) == (1 << k) - 1
+    assert dominated_vertices(k, core) == []
+    # the cone over it, with apex s, collapses to a point
+    cone = tuple(f | 1 << s for f in facets)
+    assert _strong_core(s + 1, cone) == (1, (1,))
+    assert _class_ranks(1, (1,), p) == {}
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_empty_face_complex(p):
+    # {empty face} has H~_{-1} = K on any vertex set, the empty one included
+    assert homology_ranks(complex_on(0, [0]), FieldSpec(p)) == {-1: 1}
+    for s in (0, 1, 3):
+        assert _strong_core(s, (0,)) == (0, (0,))
+        assert _class_ranks(s, (0,), p) == {0: 1}
 
 
 def test_class_ranks_of_projective_plane():

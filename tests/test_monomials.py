@@ -203,3 +203,39 @@ def test_q_invariant_golden():
 def test_sorting_is_by_degree_then_exponents():
     J = ideal([[(2, 1)], [(1, 1)]], 2)
     assert [str(g) for g in J.gens] == ["x1", "x2"]
+
+
+def test_constructor_rejects_non_canonical_generators():
+    x1, x2 = mono([(1, 1)], 2), mono([(2, 1)], 2)
+    x1x2 = mono([(1, 1), (2, 1)], 2)
+    assert MonomialIdeal((x1, x2), 2).gens == (x1, x2)
+    with pytest.raises(ValueError, match="sorted"):
+        MonomialIdeal((x2, x1), 2)
+    with pytest.raises(ValueError, match="sorted"):
+        MonomialIdeal((x1, x1), 2)
+    with pytest.raises(ValueError, match="minimal"):
+        MonomialIdeal((x1, x1x2), 2)
+    with pytest.raises(AmbientMismatch):
+        MonomialIdeal((mono([(1, 1)], 3),), 2)
+    with pytest.raises(ValueError):
+        MonomialIdeal.from_gens([], -1)
+
+
+@given(
+    st.integers(0, 5).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), max_size=7),
+        )
+    )
+)
+def test_trusted_construction_is_canonical(case):
+    # every ideal built without the constructor's check passes that check
+    n, rows = case
+    J = MonomialIdeal.from_gens([Monomial.from_dense(r, n) for r in rows], n)
+    built = [J, J.embed(n + 2), *(J.restrict(k) for k in range(n + 1))]
+    if J.gens:
+        u = J.gens[-1]
+        built += [J.colon(u), J.intersect(J.colon(u))]
+    for I in built:
+        assert MonomialIdeal(I.gens, I.ambient) == I, I
