@@ -21,6 +21,7 @@ from .betti import (
     DEFAULT_GEN_CAP,
     DEFAULT_LATTICE_CAP,
     betti_table,
+    pd,
 )
 from .chains import (
     Chain,
@@ -110,9 +111,11 @@ def _metric_value(
         return len(ideal.gens)
     if metric == "ass_primes":
         return len(associated_primes(ideal))
+    if metric == "pd" and ideal.is_proper:
+        return pd(ideal, field, gen_cap, lattice_cap)
     table = betti_table(ideal, field, gen_cap, lattice_cap)
     if metric == "pd":
-        return table.pd()
+        return table.pd()  # the unit ideal's one-entry table: `pd` rejects it
     if metric == "reg":
         return table.reg()
     if metric == "betti_total":

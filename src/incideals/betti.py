@@ -66,14 +66,29 @@ so that the many repeated orbit patterns along a chain are reduced once:
 characteristic in the key, and `_class_ranks` maps (core, p) to the ranks
 (up to 65536 entries each).  Many classes share one core, so few rank
 computations remain; the cache in front of the core keeps a repeated
-class at one lookup.  Whole tables are cached per (ideal, p, lattice_cap)
-(up to 256 tables).  Each ``cache_info()`` reports hits and misses.
+class at one lookup.  Each ``cache_info()`` reports hits and misses.
+
+The third cache, `_walk`, keys a `_Walk` by (ideal, p, lattice_cap), as
+the whole tables were keyed before it (up to 256 walks).  A walk builds
+the lattice once, with the caps checked, and answers two questions
+lazily.  `table` classifies every point not yet classified and assembles
+the `BettiTable`; `pd` needs far fewer points.  beta_{i,a} != 0 implies
+i <= |supp a| - 1, so the walk classifies the points of the top support
+first, and then, if the best degree found is `best`, only the points below
+the top with support at least best + 2; no point of smaller support can
+exceed `best`.  Both pass `_complex_classes` a subset of the lattice
+points, which is all its cone test needs, and each point is classified
+at most once per (ideal, p).  `pd` and the pd series take the walk;
+`betti_table` and every caller that needs the table anyway (the `betti`
+CSV, the verify checks, the other series metrics) take the table, and
+`pd` after a table reads it off.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import operator
+import threading
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -546,7 +561,7 @@ class BettiTable:
             orbits = []
             last = None
             for row in rows.tolist():
-                if row != last:  # `_table` records the degrees of a point together
+                if row != last:  # the walk records the degrees of a point together
                     last = row
                     orbit = np.array(_arrangements(row), dtype=np.int16)
                 orbits.append(orbit)
@@ -569,6 +584,108 @@ class BettiTable:
         )
 
 
+class _Walk:
+    """The lcm lattice of one validated ideal, classified on demand.
+
+    `pd` and `table` classify lattice points only as far as each needs, and
+    every point at most once: the table built after a pd walk classifies
+    only the points the walk left.  A generator set closed under permuting
+    the variables has an invariant Betti table, beta_{i, sigma a} =
+    beta_{i, a}, so the lattice holds one point per orbit.
+    """
+
+    def __init__(self, ideal: MonomialIdeal, p: int, lattice_cap: int) -> None:
+        self._gens = _dense(ideal)
+        self._lattice, self._weights = _lattice_matrix(
+            self._gens, lattice_cap, _symmetric(self._gens)
+        )
+        self._p = p
+        self._ambient = ideal.ambient
+        # (degree, lattice row, dim) of each Betti number found so far
+        self._degrees: list[int] = []
+        self._points: list[int] = []
+        self._dims: list[int] = []
+        self._visited: np.ndarray | None = None  # rows the pd walk classified
+        self._pd: int | None = None
+        self._table: BettiTable | None = None
+        self._lock = threading.Lock()
+
+    def _classify(self, index: np.ndarray | None = None) -> None:
+        """Record the Betti numbers at the lattice rows `index`, or at every row."""
+        subset = self._lattice if index is None else self._lattice[index]
+        row_of = range(len(subset)) if index is None else index.tolist()
+        degrees, points, dims, p = self._degrees, self._points, self._dims, self._p
+        for r, s, facets in _complex_classes(subset, self._gens):
+            for i, h in _class_ranks(*_strong_core(s, facets), p).items():
+                degrees.append(i)
+                points.append(row_of[r])
+                dims.append(h)
+
+    @property
+    def pd(self) -> int:
+        """The largest homological degree, from the top support bands.
+
+        beta_{i,a} != 0 implies i <= |supp a| - 1, so once the top band
+        gives `best`, only the points with best + 2 <= |supp a| can exceed
+        it; a second pass classifies those below the top.
+        """
+        with self._lock:
+            if self._table is not None:
+                return self._table.pd()
+            if self._pd is None:
+                supp = np.count_nonzero(self._lattice, axis=1)
+                top = int(supp.max())
+                visited = supp == top
+                self._classify(np.flatnonzero(visited))
+                best = max(self._degrees, default=-1)
+                if best + 2 < top:
+                    lower = (supp >= best + 2) & ~visited
+                    self._classify(np.flatnonzero(lower))
+                    visited |= lower
+                    best = max(self._degrees, default=-1)
+                self._visited, self._pd = visited, best
+            return self._pd
+
+    @property
+    def table(self) -> BettiTable:
+        """Every Betti number; then the lattice and the lists are released."""
+        with self._lock:
+            if self._table is None:
+                if self._visited is None:
+                    self._classify()
+                else:
+                    self._classify(np.flatnonzero(~self._visited))
+                points = self._points
+                self._table = BettiTable(
+                    np.array(self._degrees, dtype=np.int64),
+                    self._lattice[points],
+                    np.array(self._dims, dtype=np.int64),
+                    self._weights[points],
+                    self._p,
+                    self._ambient,
+                )
+                self._gens = self._lattice = self._weights = self._visited = None
+                self._degrees = self._points = self._dims = None
+            return self._table
+
+
+@lru_cache(maxsize=256)
+def _walk(ideal: MonomialIdeal, p: int, lattice_cap: int) -> _Walk:
+    """The lattice walk of a validated ideal, cached per (ideal, p, lattice_cap)."""
+    return _Walk(ideal, p, lattice_cap)
+
+
+def _checked_walk(
+    ideal: MonomialIdeal, field: FieldSpec, gen_cap: int | None, lattice_cap: int
+) -> _Walk:
+    """The walk of a proper ideal, after the width and generator caps."""
+    if ideal.ambient > _MAX_AMBIENT:
+        raise CapExceeded("ambient width", _MAX_AMBIENT, ideal.ambient)
+    if gen_cap is not None and len(ideal.gens) > gen_cap:
+        raise CapExceeded("betti generators", gen_cap, len(ideal.gens))
+    return _walk(ideal, field.p, lattice_cap)
+
+
 def betti_table(
     ideal: MonomialIdeal,
     field: FieldSpec = DEFAULT_FIELD,
@@ -587,40 +704,7 @@ def betti_table(
         zero, one = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
         origin = np.zeros((1, ideal.ambient), dtype=np.int16)
         return BettiTable(zero, origin, one, one, field.p, ideal.ambient)
-    if ideal.ambient > _MAX_AMBIENT:
-        raise CapExceeded("ambient width", _MAX_AMBIENT, ideal.ambient)
-    if gen_cap is not None and len(ideal.gens) > gen_cap:
-        raise CapExceeded("betti generators", gen_cap, len(ideal.gens))
-    return _table(ideal, field.p, lattice_cap)
-
-
-@lru_cache(maxsize=256)
-def _table(ideal: MonomialIdeal, p: int, lattice_cap: int) -> BettiTable:
-    """The Betti table of a validated ideal, cached per (ideal, p, lattice_cap).
-
-    A generator set closed under permuting the variables has an invariant
-    Betti table, beta_{i, sigma a} = beta_{i, a}, so the lattice is walked
-    one point per orbit.
-    """
-    gens = _dense(ideal)
-    lattice, weights = _lattice_matrix(gens, lattice_cap, _symmetric(gens))
-    degrees: list[int] = []
-    points: list[int] = []
-    dims: list[int] = []
-    for point, s, facets in _complex_classes(lattice, gens):
-        for i, h in _class_ranks(*_strong_core(s, facets), p).items():
-            degrees.append(i)
-            points.append(point)
-            dims.append(h)
-
-    return BettiTable(
-        np.array(degrees, dtype=np.int64),
-        lattice[points],
-        np.array(dims, dtype=np.int64),
-        weights[points],
-        p,
-        ideal.ambient,
-    )
+    return _checked_walk(ideal, field, gen_cap, lattice_cap).table
 
 
 def pd(
@@ -629,10 +713,14 @@ def pd(
     gen_cap: int | None = DEFAULT_GEN_CAP,
     lattice_cap: int = DEFAULT_LATTICE_CAP,
 ) -> int:
-    """Projective dimension of the ideal (as a module, so <x1..xk> gives k-1)."""
+    """Projective dimension of the ideal (as a module, so <x1..xk> gives k-1).
+
+    Read off the top support bands of the lcm lattice, not a whole table;
+    the caps are those of `betti_table`.
+    """
     if not ideal.is_proper:
         raise ImproperIdeal("pd needs a nonzero proper ideal")
-    return betti_table(ideal, field, gen_cap, lattice_cap).pd()
+    return _checked_walk(ideal, field, gen_cap, lattice_cap).pd
 
 
 def reg(

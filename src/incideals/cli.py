@@ -248,7 +248,8 @@ def cmd_explore(args: argparse.Namespace) -> int:
             continue
         row += [inv.w, inv.lambda_, inv.q]
         truncated = undetermined = False
-        for metric in ("pd", "reg"):
+        fits = {}
+        for metric in ("reg", "pd"):  # pd is then read off the reg series' tables
             rep = series(
                 chain,
                 metric,
@@ -262,7 +263,9 @@ def cmd_explore(args: argparse.Namespace) -> int:
             )
             truncated |= rep.truncated is not None
             undetermined |= rep.fit is None
-            row += ["", ""] if rep.fit is None else [rep.fit.slope, rep.fit.onset]
+            fits[metric] = rep.fit
+        for fit in (fits["pd"], fits["reg"]):
+            row += ["", ""] if fit is None else [fit.slope, fit.onset]
         row.append("partial" if truncated else "undetermined" if undetermined else "ok")
         print(",".join(map(str, row)))
     return EXIT_OK

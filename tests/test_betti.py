@@ -44,6 +44,7 @@ from incideals.betti import (
     _row_keys,
     _strong_core,
     _symmetric,
+    _walk,
 )
 from incideals.simplicial import face_closure
 from conftest import ideal, mono
@@ -259,21 +260,31 @@ def test_betti_matches_koszul_homology_on_chain_terms(p):
             assert got == koszul_reference(J, field), (seed, n, p)
 
 
-@settings(max_examples=60)
-@given(
-    st.integers(1000, 1024),
-    st.sampled_from([None, 1, 2]),
-    st.integers(1, 7),
-    st.sampled_from([2, 32003]),
-)
-def test_betti_matches_koszul_homology_on_drawn_chain_terms(seed, m, n, p):
-    # saturated (m None) and m-saturated terms of the acceptance-corpus chains
-    base = corpus_chain(seed)
-    J = term(SaturationChain(base) if m is None else m_saturation(base, m), n)
+@st.composite
+def chain_terms(draw):
+    """Saturated (m None) and m-saturated terms of the acceptance-corpus
+    chains, at widths up to 7; proper ideals only."""
+    base = corpus_chain(draw(st.integers(1000, 1024)))
+    m = draw(st.sampled_from([None, 1, 2]))
+    J = term(SaturationChain(base) if m is None else m_saturation(base, m),
+             draw(st.integers(1, 7)))
     assume(J.is_proper)
+    return J
+
+
+@settings(max_examples=60)
+@given(chain_terms(), st.sampled_from([2, 32003]))
+def test_betti_matches_koszul_homology_on_drawn_chain_terms(J, p):
     field = FieldSpec(p)
     got = {(i, a): v for i, a, v in betti_table(J, field, gen_cap=None).entries}
     assert got == koszul_reference(J, field)
+
+
+@settings(max_examples=60)
+@given(chain_terms(), st.sampled_from([2, 32003]))
+def test_euler_consistency_on_drawn_chain_terms(J, p):
+    assume(len(J.gens) <= 16)  # the Taylor side has 2^gens terms
+    assert euler_consistency(J, FieldSpec(p))
 
 
 # the 6-vertex triangulation of the real projective plane
@@ -617,3 +628,58 @@ def test_expanded_orders_pairs_not_dense_rows():
     assert degrees[:2].tolist() == [0, 0]
     assert rows[:2].tolist() == [[1, 0, 1], [0, 2, 0]]
     assert [str(a) for _, a, _ in T.entries[:2]] == ["x1*x3", "x2^2"]
+
+
+# -- pd from the top support bands -------------------------------------------
+
+def assert_same_table(T, U):
+    for x, y in zip(T.expanded, U.expanded):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+    assert (T.pd(), T.reg(), T.totals()) == (U.pd(), U.reg(), U.totals())
+
+
+@settings(max_examples=150)
+@given(st.one_of(small_ideals(), symmetric_ideals(), chain_terms()),
+       st.sampled_from([2, 32003]))
+# the top band of the lattice is one cone, so only the second band finds pd
+@example(ideal([[(1, 2), (4, 1)], [(3, 1), (4, 2)], [(1, 3), (2, 1)]], 4), 2)
+def test_pd_walk_matches_the_table(J, p):
+    field = FieldSpec(p)
+    _walk.cache_clear()
+    cold = betti_table(J, field, gen_cap=None)
+    assert pd(J, field, gen_cap=None) == cold.pd()
+    _walk.cache_clear()
+    walked = pd(J, field, gen_cap=None)
+    assert walked == cold.pd()
+    assert_same_table(betti_table(J, field, gen_cap=None), cold)
+
+
+def test_pd_walk_stops_at_the_top_band():
+    # <x1^3, x2^2, ..., x6^2>: 63 lattice points, one of support 6, of degree 5
+    J = MonomialIdeal.from_gens(
+        (Monomial.variable(1, 6, 3),) + squares(6).gens[1:], 6
+    )
+    _walk.cache_clear()
+    assert pd(J) == 5
+    walk = _walk(J, DEFAULT_FIELD.p, DEFAULT_LATTICE_CAP)
+    assert int(walk._visited.sum()) == 1 < len(walk._visited) == 63
+    assert betti_table(J).pd() == 5 and walk._visited is None  # released
+
+
+@pytest.mark.parametrize(
+    "J,kwargs",
+    [
+        (squares(21), {}),
+        (ideal([[(63, 1)]], 63), {"gen_cap": None}),
+        (squares(5), {"lattice_cap": 10}),
+    ],
+    ids=["gen_cap", "ambient_width", "lattice_cap"],
+)
+def test_pd_and_betti_table_raise_the_same_caps(J, kwargs):
+    raised = []
+    for fn in (pd, betti_table):
+        _walk.cache_clear()
+        with pytest.raises(CapExceeded) as exc:
+            fn(J, **kwargs)
+        raised.append((exc.value.what, exc.value.limit, exc.value.actual, str(exc.value)))
+    assert raised[0] == raised[1]

@@ -94,6 +94,23 @@ def test_betti_csv_golden(tmp_path, capsys, text, argv, golden):
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
 
+def test_series_pd_golden(tmp_path, capsys):
+    # acceptance-corpus chain 1014, saturated, at widths r+2..r+5
+    p = tmp_path / "chain1014.chain"
+    p.write_text("index 3\ngen x2^2\ngen x1*x2*x3\n")
+    rc = main(["series", str(p), "--saturation", "--metric", "pd", "--from", "5", "--to", "8"])
+    assert rc == 0
+    assert capsys.readouterr().out == (GOLDEN / "series_1014_saturation_pd.txt").read_text()
+
+
+def test_series_pd_on_the_unit_chain(tmp_path, capsys):
+    # every term is the unit ideal, whose one-entry table has pd 0
+    p = tmp_path / "unit.chain"
+    p.write_text("index 2\ngen 1\n")
+    assert main(["series", str(p), "--metric", "pd", "--from", "2", "--to", "3"]) == 0
+    assert capsys.readouterr().out.splitlines()[:3] == ["n,value", "2,0", "3,0"]
+
+
 def test_series_csv_with_fit(squares_file, capsys):
     rc = main(["series", squares_file, "--metric", "pd", "--from", "1", "--to", "6"])
     out = capsys.readouterr().out.splitlines()
