@@ -85,12 +85,10 @@ CSV, the verify checks, the other series metrics) take the table, and
 """
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import threading
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
@@ -98,7 +96,7 @@ import numpy as np
 
 from .errors import CapExceeded, ImproperIdeal
 from .gflinalg import DEFAULT_FIELD, FieldSpec
-from .monomials import Monomial, MonomialIdeal
+from .monomials import Monomial, MonomialIdeal, _arrangements, _orbit_size
 from .simplicial import SimplicialComplex, face_closure
 
 __all__ = [
@@ -198,14 +196,6 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     first = np.ones(len(keys), dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
     return keys[first]
-
-
-def _orbit_size(row: Sequence[int]) -> int:
-    """n! / prod(mult!): the number of distinct permutations of a row."""
-    size = math.factorial(len(row))
-    for m in Counter(row).values():
-        size //= math.factorial(m)
-    return size
 
 
 def _symmetric(gens: np.ndarray) -> bool:
@@ -489,28 +479,6 @@ def _complex_classes(points: np.ndarray, gens: np.ndarray):
 
 
 # -- Betti tables ----------------------------------------------------------
-
-def _arrangements(row: list[int]) -> list[list[int]]:
-    """Each distinct permutation of `row` once.
-
-    The most frequent value fills a template; every other value in turn
-    takes a combination of the positions still free.
-    """
-    counts = Counter(row)
-    fill = max(counts, key=counts.get)
-    del counts[fill]
-    words = [([fill] * len(row), tuple(range(len(row))))]
-    for v, m in counts.items():
-        grown = []
-        for word, free in words:
-            for pick in itertools.combinations(free, m):
-                w = word.copy()
-                for j in pick:
-                    w[j] = v
-                grown.append((w, tuple(j for j in free if j not in pick)))
-        words = grown
-    return [w for w, _ in words]
-
 
 @dataclass(frozen=True, eq=False)
 class BettiTable:

@@ -22,6 +22,8 @@ from .errors import AmbientMismatch, CapExceeded, ImproperIdeal
 from .monomials import (
     Monomial,
     MonomialIdeal,
+    _arrangements,
+    _orbit_size,
     minimalize,
     q_invariant,
 )
@@ -48,7 +50,7 @@ __all__ = [
     "HORIZON_CAP",
 ]
 
-#: Most placements or injections an orbit enumeration may walk.
+#: Most placements or distinct images an orbit enumeration may build.
 ORBIT_CAP = 10**6
 #: Widest window of widths chain_invariants may sample.
 HORIZON_CAP = 64
@@ -109,20 +111,17 @@ def inc_orbit_by_shifts(u: Monomial, m: int, n: int) -> frozenset[Monomial]:
 def sym_orbit(u: Monomial, n: int) -> frozenset[Monomial]:
     """Images of u under all injections of its support into [n].
 
-    Walks all n!/(n-k)! injections; more than ORBIT_CAP raise CapExceeded.
+    These are the n!/prod(mult!) distinct arrangements of u's exponents
+    padded with zeros to length n (u may live in a wider ring); more than
+    ORBIT_CAP raise CapExceeded before any is built.
     """
-    supp = u.support
-    if len(supp) > n:
+    if len(u.exps) > n:
         raise ValueError(f"{u!r} has support wider than {n}")
-    injections = math.perm(n, len(supp))
-    if injections > ORBIT_CAP:
-        raise CapExceeded("sym orbit injections", ORBIT_CAP, injections)
-    exps = [e for _, e in u.exps]
-    out: set[Monomial] = set()
-    for targets in itertools.permutations(range(1, n + 1), len(supp)):
-        pairs = sorted(zip(targets, exps))
-        out.add(Monomial(tuple(pairs), n))
-    return frozenset(out)
+    row = [e for _, e in u.exps] + [0] * (n - len(u.exps))
+    images = _orbit_size(row)
+    if images > ORBIT_CAP:
+        raise CapExceeded("sym orbit images", ORBIT_CAP, images)
+    return frozenset(Monomial.from_dense(a) for a in _arrangements(row))
 
 
 def _orbit(u: Monomial, m: int, n: int, symmetry: Symmetry) -> frozenset[Monomial]:

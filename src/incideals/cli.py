@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from functools import lru_cache
 
@@ -87,21 +88,23 @@ def _add_field_options(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _int_at_least(low: int, what: str):
-    def parse(text: str) -> int:
+def _number_at_least(kind: type, low: float, what: str):
+    def parse(text: str):
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
             value = low - 1
-        if value < low:
-            raise argparse.ArgumentTypeError(f"expected a {what} integer, got {text!r}")
+        if not low <= value < math.inf:  # nan fails both comparisons
+            raise argparse.ArgumentTypeError(f"expected a {what}, got {text!r}")
         return value
 
     return parse
 
 
-_positive_int = _int_at_least(1, "positive")
-_nonnegative_int = _int_at_least(0, "non-negative")
+_positive_int = _number_at_least(int, 1, "positive integer")
+_nonnegative_int = _number_at_least(int, 0, "non-negative integer")
+# the least positive float is the floor: a budget must be finite and > 0
+_seconds = _number_at_least(float, math.ulp(0.0), "finite number of seconds > 0")
 
 
 def _resolve_chain(args: argparse.Namespace):
@@ -296,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_series.add_argument("--metric", required=True, choices=SERIES_METRICS)
     p_series.add_argument("--from", dest="start", type=int, required=True)
     p_series.add_argument("--to", dest="end", type=int, required=True)
-    p_series.add_argument("--budget", type=float, default=None, metavar="SECONDS")
+    p_series.add_argument("--budget", type=_seconds, default=None, metavar="SECONDS")
     p_series.add_argument("--jobs", type=_positive_int, default=1)
     _add_field_options(p_series)
     p_series.set_defaults(func=cmd_series)
@@ -324,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_explore.add_argument("--max-degree", type=int, default=4)
     p_explore.add_argument("--seed", type=int, default=0)
     p_explore.add_argument("--horizon", type=_nonnegative_int, default=6)
-    p_explore.add_argument("--budget", type=float, default=None)
+    p_explore.add_argument("--budget", type=_seconds, default=None, metavar="SECONDS")
     p_explore.add_argument("--jobs", type=_positive_int, default=1)
     _add_field_options(p_explore)
     p_explore.set_defaults(func=cmd_explore)

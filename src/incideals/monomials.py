@@ -15,9 +15,10 @@ only make sense for nonzero proper ideals reject them with
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from math import comb
-from typing import Iterable, Iterator
+from math import comb, factorial, prod
+from typing import Iterable, Iterator, Sequence
 
 from .errors import AmbientMismatch, CapExceeded, ImproperIdeal
 
@@ -210,6 +211,33 @@ def lcm(u: Monomial, v: Monomial) -> Monomial:
         if acc.get(i, 0) < e:
             acc[i] = e
     return Monomial(tuple(sorted(acc.items())), u.ambient)
+
+
+def _orbit_size(row: Sequence[int]) -> int:
+    """n! / prod(mult!): the number of distinct permutations of a row."""
+    return factorial(len(row)) // prod(map(factorial, Counter(row).values()))
+
+
+def _arrangements(row: list[int]) -> list[list[int]]:
+    """Each distinct permutation of `row` once.
+
+    The most frequent value fills a template; every other value in turn
+    takes a combination of the positions still free.
+    """
+    counts = Counter(row)  # an empty row (width 0) has one arrangement, []
+    fill = max(counts, key=counts.get, default=0)
+    counts.pop(fill, None)
+    words = [([fill] * len(row), tuple(range(len(row))))]
+    for v, m in counts.items():
+        grown = []
+        for word, free in words:
+            for pick in itertools.combinations(free, m):
+                w = word.copy()
+                for j in pick:
+                    w[j] = v
+                grown.append((w, tuple(j for j in free if j not in pick)))
+        words = grown
+    return [w for w, _ in words]
 
 
 def _minimal_monomials(monomials: Iterable[Monomial]) -> list[Monomial]:

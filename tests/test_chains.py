@@ -28,6 +28,7 @@ from incideals import (
     sym_orbit,
     term,
 )
+from incideals.monomials import _orbit_size
 from conftest import ideal, mono
 
 
@@ -65,6 +66,32 @@ def test_inc_orbit_matches_shift_oracle(pairs, extra):
     assert len(orbit) == comb(extra + len(u.exps), len(u.exps))  # the counted placements
 
 
+def sym_orbit_by_injections(u, n):
+    """The Sym orbit as every injection of u's support into [n], deduplicated."""
+    exps = [e for _, e in u.exps]
+    return frozenset(
+        Monomial(tuple(sorted(zip(targets, exps))), n)
+        for targets in itertools.permutations(range(1, n + 1), len(exps))
+    )
+
+
+@given(
+    st.lists(st.integers(1, 3), max_size=4),
+    st.integers(0, 8),
+    st.integers(0, 3),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=150, deadline=None)
+def test_sym_orbit_matches_injection_oracle(exps, n, wider, rnd):
+    # u lives at a width up to 3 past n (at least its support); exps=[] is 1
+    n = max(n, len(exps))
+    support = sorted(rnd.sample(range(1, n + wider + 1), len(exps)))
+    u = Monomial(tuple(zip(support, exps)), n + wider)
+    orbit = sym_orbit(u, n)
+    assert orbit == sym_orbit_by_injections(u, n)
+    assert len(orbit) == _orbit_size(exps + [0] * (n - len(exps)))
+
+
 def test_sym_orbit():
     got = sym_orbit(mono([(1, 2), (2, 1)], 2), 2)
     assert got == {mono([(1, 2), (2, 1)], 2), mono([(1, 1), (2, 2)], 2)}
@@ -79,15 +106,15 @@ def test_orbit_caps_trip_before_enumerating(monkeypatch):
         raise AssertionError("the orbit enumeration started")
 
     wide_inc = Monomial.from_pairs([(i, 1) for i in range(1, 6)], 5)
-    wide_sym = Monomial.from_pairs([(i, 1) for i in range(1, 5)], 4)
+    wide_sym = Monomial.from_pairs([(i, 1) for i in range(1, 7)], 6)
     monkeypatch.setattr(chains, "Monomial", no_enumeration)
-    monkeypatch.setattr(itertools, "permutations", no_enumeration)
+    monkeypatch.setattr(chains, "_arrangements", no_enumeration)
     with pytest.raises(CapExceeded) as exc:
         inc_orbit(wide_inc, 5, 100)
     assert exc.value.actual == comb(100, 5) > chains.ORBIT_CAP
     with pytest.raises(CapExceeded) as exc:
         sym_orbit(wide_sym, 40)
-    assert exc.value.actual == 40 * 39 * 38 * 37 > chains.ORBIT_CAP
+    assert exc.value.actual == comb(40, 6) > chains.ORBIT_CAP
 
 
 def test_orbit_chain_terms(mixed_squares_chain):

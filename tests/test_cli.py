@@ -133,12 +133,13 @@ def test_series_cap_exit_code(mixed_file, capsys):
 
 
 def test_series_budget_exit_code(squares_file, capsys):
+    # every width takes longer than a nanosecond, so only the first is kept
     rc = main(["series", squares_file, "--metric", "pd", "--from", "1", "--to", "4",
-               "--budget", "0"])
+               "--budget", "1e-9"])
     out = capsys.readouterr().out.splitlines()
     assert rc == 3
     assert "1,0" in out and "2,1" not in out
-    assert "# truncated budget: width 1 took over 0s" in out
+    assert "# truncated budget: width 1 took over 1e-09s" in out
 
 
 def test_series_deterministic(squares_file, capsys):
@@ -286,6 +287,15 @@ def test_invariants_sym_chain(sym_file, capsys):
     assert data["lambda_certificate"] == "reached_w"
 
 
+def test_invariants_wide_sym_seed(tmp_path, capsys):
+    # 1,028,160 injections at width 18, but only C(18, 5) = 8,568 images
+    p = tmp_path / "wide_sym.chain"
+    p.write_text("index 5\nsymmetry sym\ngen x1*x2*x3*x4*x5\n")
+    rc = main(["invariants", str(p)])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["lambda_certificate"] == "reached_w"
+
+
 def test_verify_pd_sym_chain(sym_file, capsys):
     # a Sym term from the index on is the limit ideal cut to its width
     rc = main(["verify", sym_file, "--check", "pd"])
@@ -340,15 +350,27 @@ def test_jobs_clamped_to_widths_and_cpus(squares_file, monkeypatch, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("command", ["series", "explore"])
-def test_jobs_below_one_rejected(squares_file, command):
-    argv = {
-        "series": ["series", squares_file, "--metric", "pd", "--from", "1", "--to", "3"],
+def _short_run(command, chainfile):
+    return {
+        "series": ["series", chainfile, "--metric", "pd", "--from", "1", "--to", "3"],
         "explore": ["explore", "--count", "1"],
     }[command]
+
+
+@pytest.mark.parametrize("command", ["series", "explore"])
+def test_jobs_below_one_rejected(squares_file, command):
     with pytest.raises(SystemExit) as e:
-        main(argv + ["--jobs", "0"])
+        main(_short_run(command, squares_file) + ["--jobs", "0"])
     assert e.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["series", "explore"])
+@pytest.mark.parametrize("budget", ["nan", "inf", "-1", "0", "soon"])
+def test_budget_not_a_positive_finite_number_rejected(squares_file, capsys, command, budget):
+    with pytest.raises(SystemExit) as e:
+        main(_short_run(command, squares_file) + ["--budget", budget])
+    assert e.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("command", ["verify", "invariants"])
