@@ -69,19 +69,27 @@ computations remain; the cache in front of the core keeps a repeated
 class at one lookup.  Each ``cache_info()`` reports hits and misses.
 
 The third cache, `_walk`, keys a `_Walk` by (ideal, p, lattice_cap), as
-the whole tables were keyed before it (up to 256 walks).  A walk builds
-the lattice once, with the caps checked, and answers two questions
-lazily.  `table` classifies every point not yet classified and assembles
-the `BettiTable`; `pd` needs far fewer points.  beta_{i,a} != 0 implies
-i <= |supp a| - 1, so the walk classifies the points of the top support
-first, and then, if the best degree found is `best`, only the points below
-the top with support at least best + 2; no point of smaller support can
-exceed `best`.  Both pass `_complex_classes` a subset of the lattice
-points, which is all its cone test needs, and each point is classified
-at most once per (ideal, p).  `pd` and the pd series take the walk;
-`betti_table` and every caller that needs the table anyway (the `betti`
-CSV, the verify checks, the other series metrics) take the table, and
-`pd` after a table reads it off.
+the whole tables were keyed before it (up to 256 walks).  A walk answers
+two questions lazily, and builds the lattice, with the lattice cap
+checked, only when one of them needs it.  `table` classifies every point
+not yet classified and assembles the `BettiTable`; `pd` needs far less.
+It reads a table already built.  Else it looks for a depth-zero
+certificate: a socle monomial x^u of S/I (u outside I, x_i x^u in I for
+every i).  Its upper Koszul complex at u + (1, ..., 1) is the boundary of
+the (n-1)-simplex, so pd = n - 1, the largest value there is, with no
+lattice built and no lattice cap tripped; by Auslander-Buchsbaum such a
+u exists exactly when pd = n - 1.  The candidates are the products of
+the g_j - 1 over the generator exponents, at most 2^16 of them, tested
+in blocks.  Without a witness the walk builds the lattice: beta_{i,a} != 0
+implies i <= |supp a| - 1, so it classifies the points of the top
+support first, and then, if the best degree found is `best`, only the
+points below the top with support at least best + 2; no point of smaller
+support can exceed `best`.  Both pass `_complex_classes` a subset of the
+lattice points, which is all its cone test needs, and each point is
+classified at most once per (ideal, p).  `pd` and the pd series take the
+walk; `betti_table` and every caller that needs the table anyway (the
+`betti` CSV, the verify checks, the other series metrics) take the
+table.
 """
 from __future__ import annotations
 
@@ -117,7 +125,7 @@ DEFAULT_LATTICE_CAP = 500_000
 
 _MAX_AMBIENT = 62  # bitmask faces live in int64
 _MAX_WEIGHT = int(np.iinfo(np.int64).max)  # lattice points per row, and so the cap
-_BLOCK_CELLS = 1 << 18  # int64 cells per classification temporary; bounds peak memory
+_BLOCK_CELLS = 1 << 18  # cells per block temporary; bounds peak memory
 
 
 # -- dense exponents -------------------------------------------------------
@@ -279,6 +287,63 @@ def lcm_lattice(
         raise CapExceeded("lcm lattice generators", gen_cap, len(ideal.gens))
     rows, _ = _lattice_matrix(_dense(ideal), lattice_cap, symmetric=False)
     return frozenset(Monomial.from_dense(row, ideal.ambient) for row in rows)
+
+
+# -- depth-zero certificate -----------------------------------------------
+
+_SOCLE_CANDIDATES = 1 << 16  # socle candidates tried before the lattice walk
+
+
+def _socle_columns(gens: np.ndarray) -> list[np.ndarray]:
+    """The exponents u_j of the candidate socle monomials x^u of S/I, per column.
+
+    x_j x^u in I with x^u outside means that some generator g divides
+    x_j x^u but not x^u, so g_j = u_j + 1: the candidates in column j are
+    g_j - 1 over the positive g_j, ascending.  A column with none is a
+    variable that is a nonzerodivisor on S/I, and then the socle is zero.
+    """
+    return [_sorted_unique(col[col > 0]) - 1 for col in gens.T]
+
+
+def _socle_witness(gens: np.ndarray) -> np.ndarray | None:
+    """A monomial x^u in the socle of S/I, or None when none is found.
+
+    x^u is in the socle when u is outside I and x_i x^u is in I for every
+    i: no generator is <= u, and for every i some generator exceeds u at
+    i alone, by exactly 1.  The upper Koszul complex at u + (1, ..., 1) is
+    then the boundary of the (n-1)-simplex, so beta_{n-1, u+1} = 1 in
+    every characteristic and pd I = n - 1, the most Hilbert's syzygy
+    theorem allows; by Auslander-Buchsbaum, a socle exists exactly when pd
+    I = n - 1.  The candidates of `_socle_columns` are tried in
+    lexicographic order, in blocks of at most _BLOCK_CELLS (candidate,
+    generator) pairs, up to the first witness; past
+    _SOCLE_CANDIDATES of them none is tried, and None proves nothing.
+    """
+    columns = _socle_columns(gens)
+    count = math.prod(map(len, columns))
+    if not count or count > _SOCLE_CANDIDATES:
+        return None
+    place = [math.prod(map(len, columns[j + 1 :])) for j in range(len(columns))]
+    most = max(1, _BLOCK_CELLS // len(gens))
+    lo, rows = 0, min(64, most)  # blocks double: an early witness costs little
+    while lo < count:
+        k = np.arange(lo, min(count, lo + rows))
+        lo, rows = lo + rows, min(2 * rows, most)
+        u = np.stack([c[k // q % len(c)] for c, q in zip(columns, place)], axis=1)
+        # the sum over j of max(g_j - u_j, 0), each clipped at 2: 0 when
+        # g <= u, and 1 when g exceeds u at one column only, by exactly 1
+        excess = np.zeros((len(u), len(gens)), dtype=np.int16)
+        for j in range(gens.shape[1]):
+            over = gens[:, j] - u[:, j, None]
+            excess += np.clip(over, 0, 2, out=over)
+        alive = np.flatnonzero(excess.all(axis=1))
+        single = excess[alive] == 1
+        for j in range(gens.shape[1]):
+            hit = (single & (gens[:, j] == u[alive, j, None] + 1)).any(axis=1)
+            alive, single = alive[hit], single[hit]
+        if len(alive):
+            return u[alive[0]]
+    return None
 
 
 # -- upper Koszul complexes ------------------------------------------------
@@ -555,18 +620,20 @@ class BettiTable:
 class _Walk:
     """The lcm lattice of one validated ideal, classified on demand.
 
-    `pd` and `table` classify lattice points only as far as each needs, and
-    every point at most once: the table built after a pd walk classifies
-    only the points the walk left.  A generator set closed under permuting
-    the variables has an invariant Betti table, beta_{i, sigma a} =
+    The lattice itself is built on first use, with the lattice cap
+    checked then: a pd certified by a socle witness builds none.  `pd` and
+    `table` classify lattice points only as far as each needs, and every
+    point at most once: the table built after a pd walk classifies only
+    the points the walk left.  A generator set closed under permuting the
+    variables has an invariant Betti table, beta_{i, sigma a} =
     beta_{i, a}, so the lattice holds one point per orbit.
     """
 
     def __init__(self, ideal: MonomialIdeal, p: int, lattice_cap: int) -> None:
         self._gens = _dense(ideal)
-        self._lattice, self._weights = _lattice_matrix(
-            self._gens, lattice_cap, _symmetric(self._gens)
-        )
+        self._lattice_cap = lattice_cap
+        self._lattice: np.ndarray | None = None
+        self._weights: np.ndarray | None = None
         self._p = p
         self._ambient = ideal.ambient
         # (degree, lattice row, dim) of each Betti number found so far
@@ -577,6 +644,14 @@ class _Walk:
         self._pd: int | None = None
         self._table: BettiTable | None = None
         self._lock = threading.Lock()
+
+    def _build(self) -> np.ndarray:
+        """The lattice rows, closed on the first call."""
+        if self._lattice is None:
+            self._lattice, self._weights = _lattice_matrix(
+                self._gens, self._lattice_cap, _symmetric(self._gens)
+            )
+        return self._lattice
 
     def _classify(self, index: np.ndarray | None = None) -> None:
         """Record the Betti numbers at the lattice rows `index`, or at every row."""
@@ -591,7 +666,8 @@ class _Walk:
 
     @property
     def pd(self) -> int:
-        """The largest homological degree, from the top support bands.
+        """The largest homological degree: off the table if there is one,
+        else n - 1 on a socle witness, else from the top support bands.
 
         beta_{i,a} != 0 implies i <= |supp a| - 1, so once the top band
         gives `best`, only the points with best + 2 <= |supp a| can exceed
@@ -600,8 +676,10 @@ class _Walk:
         with self._lock:
             if self._table is not None:
                 return self._table.pd()
+            if self._pd is None and _socle_witness(self._gens) is not None:
+                self._pd = self._ambient - 1
             if self._pd is None:
-                supp = np.count_nonzero(self._lattice, axis=1)
+                supp = np.count_nonzero(self._build(), axis=1)
                 top = int(supp.max())
                 visited = supp == top
                 self._classify(np.flatnonzero(visited))
@@ -619,6 +697,7 @@ class _Walk:
         """Every Betti number; then the lattice and the lists are released."""
         with self._lock:
             if self._table is None:
+                self._build()
                 if self._visited is None:
                     self._classify()
                 else:

@@ -74,14 +74,14 @@ def _add_field_options(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--gen-cap",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="G",
         help="refuse ideals with more minimal generators than this",
     )
     sub.add_argument(
         "--lattice-cap",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_LATTICE_CAP,
         metavar="L",
         help="refuse lcm lattices larger than this (default %(default)s)",
@@ -320,11 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_explore = subs.add_parser("explore", help="survey random chains as CSV")
-    p_explore.add_argument("--count", type=int, default=10)
-    p_explore.add_argument("--index", type=int, default=3)
-    p_explore.add_argument("--gens", type=int, default=3)
-    p_explore.add_argument("--max-exponent", type=int, default=2)
-    p_explore.add_argument("--max-degree", type=int, default=4)
+    p_explore.add_argument("--count", type=_nonnegative_int, default=10)
+    p_explore.add_argument("--index", type=_positive_int, default=3)
+    p_explore.add_argument("--gens", type=_positive_int, default=3)
+    p_explore.add_argument("--max-exponent", type=_positive_int, default=2)
+    p_explore.add_argument("--max-degree", type=_positive_int, default=4)
     p_explore.add_argument("--seed", type=int, default=0)
     p_explore.add_argument("--horizon", type=_nonnegative_int, default=6)
     p_explore.add_argument("--budget", type=_seconds, default=None, metavar="SECONDS")

@@ -1,4 +1,4 @@
-"""Acceptance gate: twelve end-to-end criteria, one test each.
+"""Acceptance gate: thirteen end-to-end criteria, one test each.
 
 Every assertion is an exact integer or set equality; there are no float
 tolerances anywhere.  Each test measures its own wall time and enforces
@@ -35,6 +35,7 @@ from incideals import (
     q_invariant,
     random_chain,
     reg,
+    series,
     term,
 )
 from incideals.chains import OrbitChain
@@ -270,3 +271,16 @@ def test_criterion_12_reg_slope_limit_evidence():
     _finish(12, started, 180,
             f"hard x{hard}, evidence x{evidence_only}, "
             f"ratio non-increasing in {sum(ratio_trend)}/10")
+
+
+def test_criterion_13_pd_past_the_lattice_cap():
+    """pd of saturated chain 1014 over widths 5..16 under the default caps
+    is n - 1 at every width, with no truncation, though the lcm lattice
+    passes the 500k cap at width 13: a socle witness certifies depth zero
+    before any lattice is built. Budget 10 s."""
+    started = time.monotonic()
+    chain = SaturationChain(_corpus_chain(1014))
+    rep = series(chain, "pd", 5, 16)
+    assert rep.values == tuple((n, n - 1) for n in range(5, 17)), rep.values
+    assert rep.truncated is None
+    _finish(13, started, 10, "12 widths, pd = n - 1, no lattice past the cap")

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import operator
 import random
 from math import comb
@@ -16,11 +17,13 @@ from incideals import (
     ImproperIdeal,
     Monomial,
     MonomialIdeal,
+    MonomialPrime,
     OrbitChain,
     RandomChainParams,
     SaturationChain,
     SimplicialComplex,
     Symmetry,
+    associated_primes,
     betti_table,
     euler_consistency,
     homology_ranks,
@@ -37,11 +40,14 @@ from incideals import (
 )
 from incideals.betti import (
     DEFAULT_LATTICE_CAP,
+    _SOCLE_CANDIDATES,
     _class_ranks,
     _complex_classes,
     _dense,
     _lattice_matrix,
     _row_keys,
+    _socle_columns,
+    _socle_witness,
     _strong_core,
     _symmetric,
     _walk,
@@ -534,9 +540,13 @@ def test_lattice_cap_counts_every_point_of_a_symmetric_term():
         betti_table(J, gen_cap=None, lattice_cap=700)
     assert exc.value.actual > 700
     assert betti_table(J, gen_cap=None, lattice_cap=701).pd() == 5
-    rep = series(chain, "pd", 3, 8, lattice_cap=700)
+    rep = series(chain, "reg", 3, 8, lattice_cap=700)
     assert [n for n, _ in rep.values] == [3, 4, 5]
     assert rep.truncated.startswith("lcm lattice size")
+    # every term has depth zero, so a socle witness gives pd without a lattice
+    rep = series(chain, "pd", 3, 8, lattice_cap=700)
+    assert rep.values == tuple((n, n - 1) for n in range(3, 9))
+    assert rep.truncated is None
 
 
 def test_lattice_cap_is_at_most_int64():
@@ -654,16 +664,33 @@ def test_pd_walk_matches_the_table(J, p):
     assert_same_table(betti_table(J, field, gen_cap=None), cold)
 
 
+def complete_intersection_in_six():
+    # <x1^2, ..., x4^2, x5^2 x6> has depth 1, so its pd needs the lattice
+    return MonomialIdeal.from_gens(
+        squares(6).gens[:4] + (mono([(5, 2), (6, 1)], 6),), 6
+    )
+
+
 def test_pd_walk_stops_at_the_top_band():
-    # <x1^3, x2^2, ..., x6^2>: 63 lattice points, one of support 6, of degree 5
+    # 31 lattice points, one of support 6, of degree 4
+    J = complete_intersection_in_six()
+    _walk.cache_clear()
+    assert pd(J) == 4
+    walk = _walk(J, DEFAULT_FIELD.p, DEFAULT_LATTICE_CAP)
+    assert int(walk._visited.sum()) == 1 < len(walk._visited) == 31
+    assert betti_table(J).pd() == 4 and walk._visited is None  # released
+
+
+def test_certified_pd_builds_no_lattice():
+    # <x1^3, x2^2, ..., x6^2> is artinian: x1^2 x2 ... x6 spans its socle
     J = MonomialIdeal.from_gens(
         (Monomial.variable(1, 6, 3),) + squares(6).gens[1:], 6
     )
     _walk.cache_clear()
     assert pd(J) == 5
     walk = _walk(J, DEFAULT_FIELD.p, DEFAULT_LATTICE_CAP)
-    assert int(walk._visited.sum()) == 1 < len(walk._visited) == 63
-    assert betti_table(J).pd() == 5 and walk._visited is None  # released
+    assert walk._lattice is None and walk._visited is None
+    assert betti_table(J).pd() == 5
 
 
 @pytest.mark.parametrize(
@@ -671,7 +698,7 @@ def test_pd_walk_stops_at_the_top_band():
     [
         (squares(21), {}),
         (ideal([[(63, 1)]], 63), {"gen_cap": None}),
-        (squares(5), {"lattice_cap": 10}),
+        (complete_intersection_in_six(), {"lattice_cap": 10}),
     ],
     ids=["gen_cap", "ambient_width", "lattice_cap"],
 )
@@ -683,3 +710,55 @@ def test_pd_and_betti_table_raise_the_same_caps(J, kwargs):
             fn(J, **kwargs)
         raised.append((exc.value.what, exc.value.limit, exc.value.actual, str(exc.value)))
     assert raised[0] == raised[1]
+
+
+def test_certified_pd_passes_the_lattice_cap():
+    # <x1^2, ..., x5^2> has 31 lattice points, but its socle witness
+    # x1 x2 x3 x4 x5 gives pd = 4 before any is built
+    _walk.cache_clear()
+    assert pd(squares(5), lattice_cap=10) == 4
+    with pytest.raises(CapExceeded):
+        betti_table(squares(5), lattice_cap=10)
+    with pytest.raises(CapExceeded):  # the width and generator caps come first
+        pd(squares(21), lattice_cap=10)
+
+
+# -- the depth-zero certificate -----------------------------------------------
+
+def socle_candidates(J):
+    return math.prod(map(len, _socle_columns(_dense(J))))
+
+
+def is_socle_monomial(J, u):
+    x = Monomial.from_dense(u, J.ambient)
+    return not J.contains(x) and all(
+        J.contains(x * Monomial.variable(i, J.ambient)) for i in range(1, J.ambient + 1)
+    )
+
+
+@settings(max_examples=150)
+@given(st.one_of(small_ideals(), symmetric_ideals(), chain_terms()),
+       st.sampled_from([2, 32003]))
+# depth 1, and x1 x2 x3^2 is in the ideal, though for each i a generator
+# exceeds it at x_i alone, by 1: only the membership test rules it out
+@example(ideal([[(1, 1), (2, 1), (3, 1)], [(1, 1), (2, 2)], [(1, 2), (3, 2)],
+                [(2, 1), (3, 3)]], 3), 2)
+def test_socle_witness_certifies_depth_zero(J, p):
+    assume(socle_candidates(J) <= _SOCLE_CANDIDATES)
+    n = J.ambient
+    u = _socle_witness(_dense(J))
+    assert u is None or is_socle_monomial(J, u.tolist())
+    maximal = MonomialPrime(frozenset(range(1, n + 1)))
+    assert (u is not None) == (maximal in associated_primes(J))
+    assert (u is not None) == (betti_table(J, FieldSpec(p), gen_cap=None).pd() == n - 1)
+
+
+def test_socle_witness_gives_up_past_its_bound():
+    # <x1^2, ..., x17^2, x1 x2, ..., x16 x17> is artinian, but each column
+    # has two candidate exponents, so there are 2^17 candidates
+    n = 17
+    gens = [mono([(i, 2)], n) for i in range(1, n + 1)]
+    gens += [mono([(i, 1), (i + 1, 1)], n) for i in range(1, n)]
+    J = MonomialIdeal.from_gens(tuple(gens), n)
+    assert socle_candidates(J) == 2**17 > _SOCLE_CANDIDATES
+    assert _socle_witness(_dense(J)) is None

@@ -352,7 +352,9 @@ def test_jobs_clamped_to_widths_and_cpus(squares_file, monkeypatch, capsys):
 
 def _short_run(command, chainfile):
     return {
+        "betti": ["betti", chainfile, "--n", "2"],
         "series": ["series", chainfile, "--metric", "pd", "--from", "1", "--to", "3"],
+        "verify": ["verify", chainfile],
         "explore": ["explore", "--count", "1"],
     }[command]
 
@@ -390,6 +392,33 @@ def test_explore_negative_horizon_rejected_before_output(capsys):
         main(EXPLORE_ARGV + ["--horizon", "-1"])
     assert e.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", ["betti", "series", "verify", "explore"])
+@pytest.mark.parametrize("option", ["--gen-cap", "--lattice-cap"])
+@pytest.mark.parametrize("cap", ["-1", "0"])
+def test_caps_below_one_rejected_before_output(squares_file, capsys, command, option, cap):
+    with pytest.raises(SystemExit) as e:
+        main(_short_run(command, squares_file) + [option, cap])
+    assert e.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("--index", "0"), ("--gens", "0"), ("--max-exponent", "0"), ("--max-degree", "-2"),
+     ("--count", "-1")],
+)
+def test_explore_seed_parameters_rejected_before_output(capsys, option, value):
+    with pytest.raises(SystemExit) as e:
+        main(EXPLORE_ARGV + [option, value])
+    assert e.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_explore_count_zero_prints_the_header_alone(capsys):
+    assert main(EXPLORE_ARGV + ["--count", "0"]) == 0
+    assert capsys.readouterr().out == EXPLORE_HEADER
 
 
 def test_explore_horizon_zero_samples_one_width(capsys):
