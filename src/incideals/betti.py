@@ -68,28 +68,35 @@ characteristic in the key, and `_class_ranks` maps (core, p) to the ranks
 computations remain; the cache in front of the core keeps a repeated
 class at one lookup.  Each ``cache_info()`` reports hits and misses.
 
-The third cache, `_walk`, keys a `_Walk` by (ideal, p, lattice_cap), as
-the whole tables were keyed before it (up to 256 walks).  A walk answers
-two questions lazily, and builds the lattice, with the lattice cap
-checked, only when one of them needs it.  `table` classifies every point
-not yet classified and assembles the `BettiTable`; `pd` needs far less.
-It reads a table already built.  Else it looks for a depth-zero
-certificate: a socle monomial x^u of S/I (u outside I, x_i x^u in I for
-every i).  Its upper Koszul complex at u + (1, ..., 1) is the boundary of
-the (n-1)-simplex, so pd = n - 1, the largest value there is, with no
-lattice built and no lattice cap tripped; by Auslander-Buchsbaum such a
-u exists exactly when pd = n - 1.  The candidates are the products of
-the g_j - 1 over the generator exponents, at most 2^16 of them, tested
-in blocks.  Without a witness the walk builds the lattice: beta_{i,a} != 0
+The third cache, `_walk`, keys a `_Walk` by (ideal, lattice_cap) alone
+(up to 256 walks): everything a walk holds but its answers is the same
+in every characteristic.  A walk answers two questions lazily, pd and
+the table, each per p, and builds the lattice, with the lattice cap
+checked, only when one of them needs it.  Classifying a point records
+only the index of its strong core among the walk's distinct cores (or
+marks a cone); p enters through `_class_ranks`, once per distinct core,
+and the ranks are scattered onto the rows.  So each point is classified
+at most once for all characteristics: `betti --char 2` after
+`betti --char 32003` on one ideal only computes ranks.  `table` classifies
+every point not yet classified, drops the cones, keeps the other rows
+with their weights and core indices for the next characteristic, and
+assembles the `BettiTable`; `pd` needs far less.  It reads a table
+already built.  Else it looks for a depth-zero certificate: a socle
+monomial x^u of S/I (u outside I, x_i x^u in I for every i).  Its upper
+Koszul complex at u + (1, ..., 1) is the boundary of the (n-1)-simplex,
+so pd = n - 1, the largest value there is, with no lattice built and no
+lattice cap tripped; by Auslander-Buchsbaum such a u exists exactly when
+pd = n - 1.  The candidates are the products of the g_j - 1 over the
+generator exponents, at most 2^16 of them, tested in blocks, once per
+walk.  Without a witness the walk builds the lattice: beta_{i,a} != 0
 implies i <= |supp a| - 1, so it classifies the points of the top
-support first, and then, if the best degree found is `best`, only the
-points below the top with support at least best + 2; no point of smaller
-support can exceed `best`.  Both pass `_complex_classes` a subset of the
-lattice points, which is all its cone test needs, and each point is
-classified at most once per (ideal, p).  `pd` and the pd series take the
-walk; `betti_table` and every caller that needs the table anyway (the
-`betti` CSV, the verify checks, the other series metrics) take the
-table.
+support first, and then, if the best degree found over GF(p) is `best`,
+only the points below the top with support at least best + 2; no point
+of smaller support can exceed `best`.  Both pass `_complex_classes` a
+subset of the lattice points, which is all its cone test needs.  `pd`
+and the pd series take the walk; `betti_table` and every caller that
+needs the table anyway (the `betti` CSV, the verify checks, the other
+series metrics) take the table.
 """
 from __future__ import annotations
 
@@ -621,28 +628,32 @@ class _Walk:
     """The lcm lattice of one validated ideal, classified on demand.
 
     The lattice itself is built on first use, with the lattice cap
-    checked then: a pd certified by a socle witness builds none.  `pd` and
-    `table` classify lattice points only as far as each needs, and every
-    point at most once: the table built after a pd walk classifies only
-    the points the walk left.  A generator set closed under permuting the
-    variables has an invariant Betti table, beta_{i, sigma a} =
-    beta_{i, a}, so the lattice holds one point per orbit.
+    checked then: a pd certified by a socle witness builds none.  The
+    lattice and its classification are the same in every characteristic;
+    pd and the table are kept per characteristic.  Each lattice row gets
+    one entry of `_core`: -2 while unclassified, -1 for a cone, else an
+    index into `_cores`, the distinct strong cores met so far.  `pd(p)`
+    and `table(p)` classify rows only as far as each needs, and every row
+    at most once for all characteristics; p enters only through
+    `_class_ranks` of each distinct core.  Once every row is classified
+    the cones are dropped, and the non-cone rows, their weights and their
+    core indices are kept for the tables of other characteristics.  A
+    generator set closed under permuting the variables has an invariant
+    Betti table, beta_{i, sigma a} = beta_{i, a}, so the lattice holds one
+    point per orbit.
     """
 
-    def __init__(self, ideal: MonomialIdeal, p: int, lattice_cap: int) -> None:
+    def __init__(self, ideal: MonomialIdeal, lattice_cap: int) -> None:
         self._gens = _dense(ideal)
         self._lattice_cap = lattice_cap
+        self._ambient = ideal.ambient
+        self._certified: bool | None = None  # whether a socle witness exists
         self._lattice: np.ndarray | None = None
         self._weights: np.ndarray | None = None
-        self._p = p
-        self._ambient = ideal.ambient
-        # (degree, lattice row, dim) of each Betti number found so far
-        self._degrees: list[int] = []
-        self._points: list[int] = []
-        self._dims: list[int] = []
-        self._visited: np.ndarray | None = None  # rows the pd walk classified
-        self._pd: int | None = None
-        self._table: BettiTable | None = None
+        self._core: np.ndarray | None = None  # per row: -2, -1 or a core index
+        self._cores: dict[tuple[int, tuple[int, ...]], int] = {}  # core -> index
+        self._pds: dict[int, int] = {}
+        self._tables: dict[int, BettiTable] = {}
         self._lock = threading.Lock()
 
     def _build(self) -> np.ndarray:
@@ -651,86 +662,110 @@ class _Walk:
             self._lattice, self._weights = _lattice_matrix(
                 self._gens, self._lattice_cap, _symmetric(self._gens)
             )
+            self._core = np.full(len(self._lattice), -2, dtype=np.int64)
         return self._lattice
 
-    def _classify(self, index: np.ndarray | None = None) -> None:
-        """Record the Betti numbers at the lattice rows `index`, or at every row."""
-        subset = self._lattice if index is None else self._lattice[index]
-        row_of = range(len(subset)) if index is None else index.tolist()
-        degrees, points, dims, p = self._degrees, self._points, self._dims, self._p
-        for r, s, facets in _complex_classes(subset, self._gens):
-            for i, h in _class_ranks(*_strong_core(s, facets), p).items():
-                degrees.append(i)
-                points.append(row_of[r])
-                dims.append(h)
+    def _classify(self, index: np.ndarray) -> None:
+        """Record the core index of each lattice row `index`, -1 for a cone."""
+        cores = self._cores
+        found = np.fromiter(
+            (
+                (r, cores.setdefault(_strong_core(s, facets), len(cores)))
+                for r, s, facets in _complex_classes(self._lattice[index], self._gens)
+            ),
+            dtype=np.dtype((np.int64, 2)),
+        )
+        self._core[index] = -1
+        self._core[index[found[:, 0]]] = found[:, 1]
 
-    @property
-    def pd(self) -> int:
-        """The largest homological degree: off the table if there is one,
-        else n - 1 on a socle witness, else from the top support bands.
+    def _best(self, rows: np.ndarray, p: int) -> int:
+        """The largest degree of a Betti number over GF(p) at the rows of the
+        mask `rows`, -1 if none, classifying the rows not yet classified."""
+        self._classify(np.flatnonzero(rows & (self._core == -2)))
+        present = np.zeros(len(self._cores), dtype=bool)
+        ids = self._core[rows]
+        present[ids[ids >= 0]] = True
+        cores = list(self._cores)
+        return max(
+            (max(_class_ranks(*cores[c], p), default=-1)
+             for c in np.flatnonzero(present).tolist()),
+            default=-1,
+        )
+
+    def pd(self, p: int) -> int:
+        """The largest homological degree over GF(p): off the table if there
+        is one, else n - 1 on a socle witness, else from the top support
+        bands.
 
         beta_{i,a} != 0 implies i <= |supp a| - 1, so once the top band
         gives `best`, only the points with best + 2 <= |supp a| can exceed
         it; a second pass classifies those below the top.
         """
         with self._lock:
-            if self._table is not None:
-                return self._table.pd()
-            if self._pd is None and _socle_witness(self._gens) is not None:
-                self._pd = self._ambient - 1
-            if self._pd is None:
+            if p in self._tables:
+                return self._tables[p].pd()
+            if self._certified is None:
+                self._certified = _socle_witness(self._gens) is not None
+            if self._certified:
+                return self._ambient - 1
+            if p not in self._pds:
                 supp = np.count_nonzero(self._build(), axis=1)
                 top = int(supp.max())
-                visited = supp == top
-                self._classify(np.flatnonzero(visited))
-                best = max(self._degrees, default=-1)
+                best = self._best(supp == top, p)
                 if best + 2 < top:
-                    lower = (supp >= best + 2) & ~visited
-                    self._classify(np.flatnonzero(lower))
-                    visited |= lower
-                    best = max(self._degrees, default=-1)
-                self._visited, self._pd = visited, best
-            return self._pd
+                    best = self._best(supp >= best + 2, p)
+                self._pds[p] = best
+            return self._pds[p]
 
-    @property
-    def table(self) -> BettiTable:
-        """Every Betti number; then the lattice and the lists are released."""
+    def table(self, p: int) -> BettiTable:
+        """Every Betti number over GF(p), the ranks of each distinct core
+        scattered onto its rows."""
         with self._lock:
-            if self._table is None:
-                self._build()
-                if self._visited is None:
-                    self._classify()
-                else:
-                    self._classify(np.flatnonzero(~self._visited))
-                points = self._points
-                self._table = BettiTable(
-                    np.array(self._degrees, dtype=np.int64),
-                    self._lattice[points],
-                    np.array(self._dims, dtype=np.int64),
-                    self._weights[points],
-                    self._p,
-                    self._ambient,
-                )
-                self._gens = self._lattice = self._weights = self._visited = None
-                self._degrees = self._points = self._dims = None
-            return self._table
+            if p in self._tables:
+                return self._tables[p]
+            self._build()
+            if (self._core < 0).any():
+                self._classify(np.flatnonzero(self._core == -2))
+                keep = self._core >= 0
+                self._lattice = self._lattice[keep]
+                self._weights = self._weights[keep]
+                self._core = self._core[keep]
+            ranks = [_class_ranks(*core, p) for core in self._cores]
+            counts = np.array([len(r) for r in ranks], dtype=np.int64)
+            degrees = np.array([i for r in ranks for i in r], dtype=np.int64)
+            dims = np.array([h for r in ranks for h in r.values()], dtype=np.int64)
+            # a row with core c takes the run degrees[start[c] : start[c] + counts[c]]
+            start = np.cumsum(counts) - counts
+            per_row = counts[self._core]
+            row = np.repeat(np.arange(len(per_row)), per_row)
+            within = np.arange(len(row)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+            flat = np.repeat(start[self._core], per_row) + within
+            table = self._tables[p] = BettiTable(
+                degrees[flat],
+                self._lattice[row],
+                dims[flat],
+                self._weights[row],
+                p,
+                self._ambient,
+            )
+            return table
 
 
 @lru_cache(maxsize=256)
-def _walk(ideal: MonomialIdeal, p: int, lattice_cap: int) -> _Walk:
-    """The lattice walk of a validated ideal, cached per (ideal, p, lattice_cap)."""
-    return _Walk(ideal, p, lattice_cap)
+def _walk(ideal: MonomialIdeal, lattice_cap: int) -> _Walk:
+    """The lattice walk of a validated ideal, cached per (ideal, lattice_cap)."""
+    return _Walk(ideal, lattice_cap)
 
 
 def _checked_walk(
-    ideal: MonomialIdeal, field: FieldSpec, gen_cap: int | None, lattice_cap: int
+    ideal: MonomialIdeal, gen_cap: int | None, lattice_cap: int
 ) -> _Walk:
     """The walk of a proper ideal, after the width and generator caps."""
     if ideal.ambient > _MAX_AMBIENT:
         raise CapExceeded("ambient width", _MAX_AMBIENT, ideal.ambient)
     if gen_cap is not None and len(ideal.gens) > gen_cap:
         raise CapExceeded("betti generators", gen_cap, len(ideal.gens))
-    return _walk(ideal, field.p, lattice_cap)
+    return _walk(ideal, lattice_cap)
 
 
 def betti_table(
@@ -751,7 +786,7 @@ def betti_table(
         zero, one = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
         origin = np.zeros((1, ideal.ambient), dtype=np.int16)
         return BettiTable(zero, origin, one, one, field.p, ideal.ambient)
-    return _checked_walk(ideal, field, gen_cap, lattice_cap).table
+    return _checked_walk(ideal, gen_cap, lattice_cap).table(field.p)
 
 
 def pd(
@@ -767,7 +802,7 @@ def pd(
     """
     if not ideal.is_proper:
         raise ImproperIdeal("pd needs a nonzero proper ideal")
-    return _checked_walk(ideal, field, gen_cap, lattice_cap).pd
+    return _checked_walk(ideal, gen_cap, lattice_cap).pd(field.p)
 
 
 def reg(

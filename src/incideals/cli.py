@@ -16,8 +16,6 @@ import math
 import sys
 from functools import lru_cache
 
-import numpy as np
-
 from .asymptotics import (
     SERIES_METRICS,
     RandomChainParams,
@@ -148,7 +146,7 @@ def cmd_betti(args: argparse.Namespace) -> int:
     degrees, rows, dims = table.expanded
     # the factor x_j^e for each exponent e that occurs in column j
     names = [
-        {e: f"x{j}^{e}" if e > 1 else f"x{j}" for e in np.unique(col).tolist()}
+        {e: f"x{j}^{e}" if e > 1 else f"x{j}" for e in set(col.tolist())}
         for j, col in enumerate(rows.T, 1)
     ]
     lines = ["i,multidegree,value"]

@@ -52,6 +52,7 @@ from incideals.betti import (
     _symmetric,
     _walk,
 )
+import incideals.betti as betti_module
 from incideals.simplicial import face_closure
 from conftest import ideal, mono
 
@@ -132,6 +133,14 @@ def test_lcm_lattice_matches_subset_enumeration():
     cases.append(wide)
     for J in cases:
         assert lcm_lattice(J, gen_cap=None) == subset_lcms(J), J
+
+
+def subset_maxima(gens):
+    """The rows max(S) over the nonempty subsets S of the generator rows."""
+    lcms = np.zeros((1 << len(gens), gens.shape[1]), dtype=np.int16)
+    for b in range(len(gens)):
+        lcms[1 << b : 1 << (b + 1)] = np.maximum(lcms[: 1 << b], gens[b])
+    return set(map(tuple, lcms[1:].tolist()))
 
 
 def test_lcm_lattice_gen_cap():
@@ -383,20 +392,20 @@ def test_face_closure_matches_subset_enumeration(case):
     assert face_closure(masks) == brute
 
 
-def test_char_dependence_shows_up():
-    # Stanley-Reisner ideal of the 6-vertex projective plane triangulation
-    triangles = RP2_TRIANGLES
-    keep = {frozenset(t) for t in triangles}
-    nonfaces = [
-        s
+def rp2_stanley_reisner():
+    """The Stanley-Reisner ideal of the 6-vertex projective plane: its
+    minimal nonfaces are the triples that are not triangles."""
+    keep = {frozenset(t) for t in RP2_TRIANGLES}
+    mins = [
+        Monomial.from_pairs([(v, 1) for v in s], 6)
         for s in itertools.combinations(range(1, 7), 3)
         if frozenset(s) not in keep
     ]
-    mins = []
-    for s in nonfaces:
-        # minimal nonfaces only: every proper pair must be a face
-        mins.append(Monomial.from_pairs([(v, 1) for v in s], 6))
-    J = MonomialIdeal.from_gens(tuple(mins), 6)
+    return MonomialIdeal.from_gens(tuple(mins), 6)
+
+
+def test_char_dependence_shows_up():
+    J = rp2_stanley_reisner()
     p0 = betti_table(J, FieldSpec(32003), gen_cap=None).pd()
     p2 = betti_table(J, FieldSpec(2), gen_cap=None).pd()
     assert p2 == p0 + 1  # the classical char-2 jump
@@ -528,6 +537,24 @@ def test_symmetric_near_misses():
     assert not _symmetric(_dense(MonomialIdeal.from_gens(closed.gens[1:], 3)))
     assert not _symmetric(_dense(MonomialIdeal.from_gens(
         tuple(g.embed(4) for g in closed.gens), 4)))
+
+
+@settings(max_examples=100)
+@given(st.one_of(chain_terms(), symmetric_ideals()))
+@example(wide_ideal())  # rows keyed by bytes
+def test_lattice_matrix_matches_subset_enumeration(J):
+    # the lattice has no characteristic, so none is drawn
+    gens = _dense(J)
+    assume(len(gens) <= 16)  # 2^gens subsets
+    symmetric = _symmetric(gens)
+    rows, weights = _lattice_matrix(gens, DEFAULT_LATTICE_CAP, symmetric)
+    points = []
+    for row, w in zip(rows.tolist(), weights.tolist()):
+        orbit = set(itertools.permutations(row)) if symmetric else {tuple(row)}
+        assert len(orbit) == w, (J, row)
+        points += orbit
+    assert len(points) == len(set(points)) == int(weights.sum())
+    assert set(points) == subset_maxima(gens), J
 
 
 def test_lattice_cap_counts_every_point_of_a_symmetric_term():
@@ -672,13 +699,21 @@ def complete_intersection_in_six():
 
 
 def test_pd_walk_stops_at_the_top_band():
-    # 31 lattice points, one of support 6, of degree 4
+    # 31 lattice points, one of support 6, of degree 4; no cone among them
     J = complete_intersection_in_six()
     _walk.cache_clear()
     assert pd(J) == 4
-    walk = _walk(J, DEFAULT_FIELD.p, DEFAULT_LATTICE_CAP)
-    assert int(walk._visited.sum()) == 1 < len(walk._visited) == 31
-    assert betti_table(J).pd() == 4 and walk._visited is None  # released
+    walk = _walk(J, DEFAULT_LATTICE_CAP)
+    assert int((walk._core != -2).sum()) == 1 < len(walk._core) == 31
+    assert betti_table(J).pd() == 4
+    assert len(walk._lattice) == len(walk._weights) == 31 and walk._core.min() >= 0
+    # the top band of this lattice is one cone, which the table releases
+    K = ideal([[(1, 2), (4, 1)], [(3, 1), (4, 2)], [(1, 3), (2, 1)]], 4)
+    walk = _walk(K, DEFAULT_LATTICE_CAP)
+    assert betti_table(K).pd() == pd(K)
+    points = len(lcm_lattice(K))
+    assert len(walk._lattice) == len(walk._weights) == len(walk._core) == points - 1
+    assert walk._core.min() >= 0
 
 
 def test_certified_pd_builds_no_lattice():
@@ -687,10 +722,71 @@ def test_certified_pd_builds_no_lattice():
         (Monomial.variable(1, 6, 3),) + squares(6).gens[1:], 6
     )
     _walk.cache_clear()
-    assert pd(J) == 5
-    walk = _walk(J, DEFAULT_FIELD.p, DEFAULT_LATTICE_CAP)
-    assert walk._lattice is None and walk._visited is None
+    assert pd(J) == 5 and pd(J, FieldSpec(2)) == 5
+    walk = _walk(J, DEFAULT_LATTICE_CAP)
+    assert walk._lattice is None and walk._core is None
     assert betti_table(J).pd() == 5
+
+
+def assert_walk_shared(J, chars, pd_first):
+    """pd and tables over both `chars` from one walk equal cold tables, and
+    the walk builds its lattice once and classifies each row once.
+
+    pd first runs pd, pd, table, table: the second pd reuses the rows the
+    first classified.  Table first runs table, pd, table, pd: the first pd
+    walks the rows left after the cones were released.
+    """
+    cold = {}
+    for p in chars:
+        _walk.cache_clear()
+        cold[p] = betti_table(J, FieldSpec(p), gen_cap=None)
+    _walk.cache_clear()
+    built, classified = [], []
+    lattice_matrix, complex_classes = betti_module._lattice_matrix, betti_module._complex_classes
+
+    def counted_lattice(*args):
+        rows, weights = lattice_matrix(*args)
+        built.append(len(rows))
+        return rows, weights
+
+    def counted_classes(points, gens):
+        classified.extend(map(tuple, points.tolist()))
+        return complex_classes(points, gens)
+
+    def check_pd(p):
+        assert pd(J, FieldSpec(p), gen_cap=None) == cold[p].pd(), (J, p)
+
+    def check_table(p):
+        assert_same_table(betti_table(J, FieldSpec(p), gen_cap=None), cold[p])
+
+    first, second = chars
+    if pd_first:
+        steps = [(check_pd, first), (check_pd, second),
+                 (check_table, first), (check_table, second)]
+    else:
+        steps = [(check_table, first), (check_pd, second),
+                 (check_table, second), (check_pd, first)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(betti_module, "_lattice_matrix", counted_lattice)
+        mp.setattr(betti_module, "_complex_classes", counted_classes)
+        for check, p in steps:
+            check(p)
+    assert len(built) == 1
+    assert len(classified) == len(set(classified)) == built[0]
+
+
+@pytest.mark.parametrize("chars", [(32003, 2), (2, 32003)])
+@pytest.mark.parametrize("pd_first", [True, False], ids=["pd_first", "table_first"])
+def test_walk_is_shared_across_characteristics(chars, pd_first):
+    # pd 2 over GF(32003) and 3 over GF(2); no socle witness, so pd walks bands
+    assert_walk_shared(rp2_stanley_reisner(), chars, pd_first)
+
+
+@settings(max_examples=100)
+@given(st.one_of(small_ideals(), symmetric_ideals(), chain_terms()),
+       st.permutations([2, 32003]), st.booleans())
+def test_drawn_walks_are_shared_across_characteristics(J, chars, pd_first):
+    assert_walk_shared(J, tuple(chars), pd_first)
 
 
 @pytest.mark.parametrize(
