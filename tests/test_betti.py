@@ -135,14 +135,6 @@ def test_lcm_lattice_matches_subset_enumeration():
         assert lcm_lattice(J, gen_cap=None) == subset_lcms(J), J
 
 
-def subset_maxima(gens):
-    """The rows max(S) over the nonempty subsets S of the generator rows."""
-    lcms = np.zeros((1 << len(gens), gens.shape[1]), dtype=np.int16)
-    for b in range(len(gens)):
-        lcms[1 << b : 1 << (b + 1)] = np.maximum(lcms[: 1 << b], gens[b])
-    return set(map(tuple, lcms[1:].tolist()))
-
-
 def test_lcm_lattice_gen_cap():
     J = MonomialIdeal.from_gens(
         tuple(Monomial.variable(i, 25, 2) for i in range(1, 22)), 25
@@ -537,6 +529,14 @@ def test_symmetric_near_misses():
     assert not _symmetric(_dense(MonomialIdeal.from_gens(closed.gens[1:], 3)))
     assert not _symmetric(_dense(MonomialIdeal.from_gens(
         tuple(g.embed(4) for g in closed.gens), 4)))
+
+
+def subset_maxima(gens):
+    """The rows max(S) over the nonempty subsets S of the generator rows."""
+    lcms = np.zeros((1 << len(gens), gens.shape[1]), dtype=np.int16)
+    for b in range(len(gens)):
+        lcms[1 << b : 1 << (b + 1)] = np.maximum(lcms[: 1 << b], gens[b])
+    return set(map(tuple, lcms[1:].tolist()))
 
 
 @settings(max_examples=100)
