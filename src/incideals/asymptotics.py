@@ -329,6 +329,8 @@ def check_reg_slope(
     quasi-saturated chain whose last-variable weight reaches w, the final
     increment must equal w - 1.
     """
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
     name = "reg_slope"
     r = chain.index
     inv = chain_invariants(chain)

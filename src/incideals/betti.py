@@ -10,11 +10,11 @@ by those facets.
 Betti numbers vanish away from the lcm lattice (all least common multiples
 of subsets of the minimal generators), so a table is built in three stages.
 `_lattice_matrix` closes the generator set under pairwise lcm, in time
-proportional to the lattice size, deduplicating points as sortable keys
-(integers, or bytes for very wide exponent ranges).  `_complex_classes`
-reads each point's complex off its divisibility and tight-vertex masks (g
-dividing x^a is tight at each j with g_j = a_j): the maximal facets are
-the complements of the minimal tight masks.  `_strong_core` shrinks each
+proportional to the lattice size, keeping the points as one sorted array
+of keys (integers, or bytes for very wide exponent ranges).
+`_complex_classes` reads each point's complex off its divisibility and
+tight-vertex masks (g dividing x^a is tight at each j with g_j = a_j):
+the maximal facets are the complements of the minimal tight masks.  `_strong_core` shrinks each
 distinct facet set to its strong core, and `_class_ranks` computes the
 homology of each distinct core once per characteristic.
 
@@ -80,23 +80,23 @@ at most once for all characteristics: `betti --char 2` after
 `betti --char 32003` on one ideal only computes ranks.  `table` classifies
 every point not yet classified, drops the cones, keeps the other rows
 with their weights and core indices for the next characteristic, and
-assembles the `BettiTable`; `pd` needs far less.  It reads a table
-already built.  Else it looks for a depth-zero certificate: a socle
-monomial x^u of S/I (u outside I, x_i x^u in I for every i).  Its upper
-Koszul complex at u + (1, ..., 1) is the boundary of the (n-1)-simplex,
-so pd = n - 1, the largest value there is, with no lattice built and no
-lattice cap tripped; by Auslander-Buchsbaum such a u exists exactly when
-pd = n - 1.  The candidates are the products of the g_j - 1 over the
-generator exponents, at most 2^16 of them, tested in blocks, once per
-walk.  Without a witness the walk builds the lattice: beta_{i,a} != 0
-implies i <= |supp a| - 1, so it classifies the points of the top
-support first, and then, if the best degree found over GF(p) is `best`,
-only the points below the top with support at least best + 2; no point
-of smaller support can exceed `best`.  Both pass `_complex_classes` a
-subset of the lattice points, which is all its cone test needs.  `pd`
-and the pd series take the walk; `betti_table` and every caller that
-needs the table anyway (the `betti` CSV, the verify checks, the other
-series metrics) take the table.
+assembles the `BettiTable`; `pd` needs far less.  While no lattice is
+built it looks for a depth-zero certificate: a socle monomial x^u of S/I
+(u outside I, x_i x^u in I for every i).  Its upper Koszul complex at
+u + (1, ..., 1) is the boundary of the (n-1)-simplex, so pd = n - 1, the
+largest value there is, with no lattice built and no lattice cap tripped;
+by Auslander-Buchsbaum such a u exists exactly when pd = n - 1.  The
+candidates are the products of the g_j - 1 over the generator exponents,
+at most 2^16 of them, tested in blocks, once per walk.  Otherwise pd
+walks the support bands of the lattice rows, built if need be:
+beta_{i,a} != 0 implies i <= |supp a| - 1, so it classifies the points
+of the top support first, and then, if the best degree found over GF(p)
+is `best`, only the points below the top with support at least best + 2;
+no point of smaller support can exceed `best`.  Both bands pass
+`_complex_classes` a subset of the lattice points, which is all its cone
+test needs.  `pd` and the pd series take the walk; `betti_table` and
+every caller that needs the table anyway (the `betti` CSV, the verify
+checks, the other series metrics) take the table.
 """
 from __future__ import annotations
 
@@ -234,10 +234,13 @@ def _lattice_matrix(
     permuting the variables) only one point per orbit is kept, its
     descending sort: if b is in the lattice and sigma sorts b, then
     sort(max(b, g)) = sort(max(sort b, sigma g)) and sigma g is again a
-    generator.  Returns the rows and the number of lattice points each
-    stands for (its orbit size, else 1).  The cap counts the whole lattice,
-    not the rows; it is checked after every block, so it trips inside the
-    round that crosses it.
+    generator.  The lattice is one sorted array of row keys: each block
+    of joins is located in it by one `searchsorted`, which both tests
+    membership and gives the insertion points of the new keys.  Returns the
+    rows in increasing key order, which is lexicographic, and the number of
+    lattice points each stands for (its orbit size, else 1).  The cap counts
+    the whole lattice, not the rows; it is checked after every block, so it
+    trips inside the round that crosses it.
     """
     encode, decode, joins = _row_keys(gens)
     limit = min(lattice_cap, _MAX_WEIGHT)
@@ -247,39 +250,34 @@ def _lattice_matrix(
             keys = encode(np.sort(decode(keys), axis=1)[:, ::-1])
         return _sorted_unique(keys)
 
-    parts, weights = [], []
     total = 0
 
-    def admit(fresh: np.ndarray) -> None:
+    def count(fresh: np.ndarray) -> None:
         # orbit sizes are exact Python ints until the cap bounds them
         nonlocal total
-        if symmetric:
-            sizes = [_orbit_size(row) for row in decode(fresh).tolist()]
-            total += sum(sizes)
-        else:
-            sizes = np.ones(len(fresh), dtype=np.int64)
-            total += len(fresh)
+        total += sum(map(_orbit_size, decode(fresh).tolist())) if symmetric else len(fresh)
         if total > limit:
             raise CapExceeded("lcm lattice size", limit, total)
-        parts.append(fresh)
-        weights.append(np.asarray(sizes, dtype=np.int64))
 
-    seen = canonical(encode(gens))
-    admit(seen)
-    frontier = seen
+    seen = frontier = canonical(encode(gens))
+    count(seen)
     block_rows = max(1, 2_000_000 // max(1, gens.size))
     while len(frontier):
         fresh_parts = []
         for lo in range(0, len(frontier), block_rows):
             keys = canonical(joins(frontier[lo : lo + block_rows]))
-            fresh = keys[~np.isin(keys, seen, assume_unique=True)]
-            if not len(fresh):
+            at = np.searchsorted(seen, keys)
+            new = seen[np.minimum(at, len(seen) - 1)] != keys
+            if not new.any():
                 continue
-            seen = np.insert(seen, np.searchsorted(seen, fresh), fresh)
-            admit(fresh)
+            fresh = keys[new]
+            count(fresh)
+            seen = np.insert(seen, at[new], fresh)
             fresh_parts.append(fresh)
         frontier = np.concatenate(fresh_parts) if fresh_parts else seen[:0]
-    return decode(np.concatenate(parts)), np.concatenate(weights)
+    rows = decode(seen)
+    weights = list(map(_orbit_size, rows.tolist())) if symmetric else np.ones(len(rows))
+    return rows, np.asarray(weights, dtype=np.int64)
 
 
 def lcm_lattice(
@@ -630,14 +628,15 @@ class _Walk:
     The lattice itself is built on first use, with the lattice cap
     checked then: a pd certified by a socle witness builds none.  The
     lattice and its classification are the same in every characteristic;
-    pd and the table are kept per characteristic.  Each lattice row gets
+    only the tables are kept per characteristic.  Each lattice row gets
     one entry of `_core`: -2 while unclassified, -1 for a cone, else an
     index into `_cores`, the distinct strong cores met so far.  `pd(p)`
     and `table(p)` classify rows only as far as each needs, and every row
     at most once for all characteristics; p enters only through
     `_class_ranks` of each distinct core.  Once every row is classified
     the cones are dropped, and the non-cone rows, their weights and their
-    core indices are kept for the tables of other characteristics.  A
+    core indices are kept for the tables of other characteristics and for
+    pd, which reads its bands off them.  A
     generator set closed under permuting the variables has an invariant
     Betti table, beta_{i, sigma a} = beta_{i, a}, so the lattice holds one
     point per orbit.
@@ -652,7 +651,6 @@ class _Walk:
         self._weights: np.ndarray | None = None
         self._core: np.ndarray | None = None  # per row: -2, -1 or a core index
         self._cores: dict[tuple[int, tuple[int, ...]], int] = {}  # core -> index
-        self._pds: dict[int, int] = {}
         self._tables: dict[int, BettiTable] = {}
         self._lock = threading.Lock()
 
@@ -693,29 +691,28 @@ class _Walk:
         )
 
     def pd(self, p: int) -> int:
-        """The largest homological degree over GF(p): off the table if there
-        is one, else n - 1 on a socle witness, else from the top support
-        bands.
+        """The largest homological degree over GF(p): n - 1 on a socle
+        witness while no lattice is built, else from the support bands of
+        the lattice rows.
 
         beta_{i,a} != 0 implies i <= |supp a| - 1, so once the top band
         gives `best`, only the points with best + 2 <= |supp a| can exceed
-        it; a second pass classifies those below the top.
+        it; a second pass classifies those below the top.  Rows classified
+        before, for any p, are not classified again, and after a table the
+        rows are the non-cone ones.
         """
         with self._lock:
-            if p in self._tables:
-                return self._tables[p].pd()
-            if self._certified is None:
-                self._certified = _socle_witness(self._gens) is not None
-            if self._certified:
-                return self._ambient - 1
-            if p not in self._pds:
-                supp = np.count_nonzero(self._build(), axis=1)
-                top = int(supp.max())
-                best = self._best(supp == top, p)
-                if best + 2 < top:
-                    best = self._best(supp >= best + 2, p)
-                self._pds[p] = best
-            return self._pds[p]
+            if self._lattice is None:
+                if self._certified is None:
+                    self._certified = _socle_witness(self._gens) is not None
+                if self._certified:
+                    return self._ambient - 1
+            supp = np.count_nonzero(self._build(), axis=1)
+            top = int(supp.max())
+            best = self._best(supp == top, p)
+            if best + 2 < top:
+                best = self._best(supp >= best + 2, p)
+            return best
 
     def table(self, p: int) -> BettiTable:
         """Every Betti number over GF(p), the ranks of each distinct core
@@ -822,20 +819,22 @@ def reg(
 def euler_consistency(
     ideal: MonomialIdeal,
     field: FieldSpec = DEFAULT_FIELD,
-    gen_cap: int = DEFAULT_GEN_CAP,
+    gen_cap: int | None = DEFAULT_GEN_CAP,
     lattice_cap: int = DEFAULT_LATTICE_CAP,
 ) -> bool:
     """Check alternating Betti sums against the Taylor complex.
 
     For every multidegree a, sum_i (-1)^i beta_{i,a} must equal the
     coefficient of x^a in sum over nonempty generator subsets S of
-    (-1)^(|S|+1) x^lcm(S); both sides are computed independently.
+    (-1)^(|S|+1) x^lcm(S); both sides are computed independently.  The
+    2^g subsets bound g by 22 whatever `gen_cap` is (None: no other bound).
     """
     if not ideal.is_proper:
         raise ImproperIdeal("euler check needs a nonzero proper ideal")
     g = len(ideal.gens)
-    if g > min(gen_cap, 22):
-        raise CapExceeded("euler subsets", min(gen_cap, 22), g)
+    cap = 22 if gen_cap is None else min(gen_cap, 22)
+    if g > cap:
+        raise CapExceeded("euler subsets", cap, g)
     gens = _dense(ideal)
     n = ideal.ambient
     lcms = np.zeros((1 << g, n), dtype=np.int16)

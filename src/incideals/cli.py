@@ -107,19 +107,15 @@ _seconds = _number_at_least(float, math.ulp(0.0), "finite number of seconds > 0"
 
 def _resolve_chain(args: argparse.Namespace):
     chain = load_chain(args.chainfile)
-    if getattr(args, "saturation", False):
+    if args.saturation:
         return saturation(chain)
-    if getattr(args, "msat", None) is not None:
+    if args.msat is not None:
         return m_saturation(chain, args.msat)
     return chain
 
 
-def _field(args: argparse.Namespace) -> FieldSpec:
-    return FieldSpec(args.char)
-
-
 def cmd_invariants(args: argparse.Namespace) -> int:
-    field = _field(args)
+    field = FieldSpec(args.char)
     chain = _resolve_chain(args)
     inv = chain_invariants(chain, horizon=args.horizon)
     payload = {
@@ -141,7 +137,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 def cmd_betti(args: argparse.Namespace) -> int:
     chain = _resolve_chain(args)
     table = betti_table(
-        term(chain, args.n), _field(args), args.gen_cap, args.lattice_cap
+        term(chain, args.n), FieldSpec(args.char), args.gen_cap, args.lattice_cap
     )
     degrees, rows, dims = table.expanded
     # the factor x_j^e for each exponent e that occurs in column j
@@ -165,7 +161,7 @@ def cmd_series(args: argparse.Namespace) -> int:
         args.metric,
         args.start,
         args.end,
-        field=_field(args),
+        field=FieldSpec(args.char),
         gen_cap=args.gen_cap,
         lattice_cap=args.lattice_cap,
         budget=args.budget,
@@ -193,9 +189,8 @@ _CHECKS = ("pd", "reg", "betti", "msat", "colon")
 def cmd_verify(args: argparse.Namespace) -> int:
     chain = _resolve_chain(args)
     selected = args.check or list(_CHECKS)
-    field = _field(args)
     kw = dict(
-        field=field, gen_cap=args.gen_cap, lattice_cap=args.lattice_cap
+        field=FieldSpec(args.char), gen_cap=args.gen_cap, lattice_cap=args.lattice_cap
     )
     results = []
     for name in selected:
@@ -230,7 +225,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_explore(args: argparse.Namespace) -> int:
-    field = _field(args)
+    field = FieldSpec(args.char)
     print("seed,r,gens,w,lambda,q,pd_slope,pd_onset,reg_slope,reg_onset,status")
     for seed in range(args.seed, args.seed + args.count):
         params = RandomChainParams(
@@ -250,7 +245,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
         row += [inv.w, inv.lambda_, inv.q]
         truncated = undetermined = False
         fits = {}
-        for metric in ("reg", "pd"):  # pd is then read off the reg series' tables
+        for metric in ("reg", "pd"):  # pd then walks the rows the reg series classified
             rep = series(
                 chain,
                 metric,

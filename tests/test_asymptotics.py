@@ -141,6 +141,11 @@ def test_check_reg_slope(squares_chain, mixed_squares_chain):
     assert "increments" in res2.details
 
 
+def test_check_reg_slope_rejects_an_empty_window(squares_chain):
+    with pytest.raises(ValueError, match="horizon must be at least 1"):
+        check_reg_slope(squares_chain, horizon=0)
+
+
 def test_check_betti_propagation(squares_chain, mixed_squares_chain):
     res = check_betti_propagation(squares_chain, 3)
     assert res.applicable and res.holds and res.details["checked"] == 7

@@ -233,6 +233,14 @@ def test_euler_consistency():
     assert checked >= 20
 
 
+def test_euler_consistency_without_a_gen_cap():
+    # None lifts the generator cap only: the Taylor side still has 2^g terms
+    assert euler_consistency(squares(4), gen_cap=None)
+    with pytest.raises(CapExceeded) as exc:
+        euler_consistency(squares(23), gen_cap=None)
+    assert (exc.value.what, exc.value.limit, exc.value.actual) == ("euler subsets", 22, 23)
+
+
 def test_betti_gen_cap_raises():
     J = squares(21)
     with pytest.raises(CapExceeded):
@@ -548,6 +556,8 @@ def test_lattice_matrix_matches_subset_enumeration(J):
     assume(len(gens) <= 16)  # 2^gens subsets
     symmetric = _symmetric(gens)
     rows, weights = _lattice_matrix(gens, DEFAULT_LATTICE_CAP, symmetric)
+    listed = rows.tolist()
+    assert all(a < b for a, b in zip(listed, listed[1:])), J  # lexicographic
     points = []
     for row, w in zip(rows.tolist(), weights.tolist()):
         orbit = set(itertools.permutations(row)) if symmetric else {tuple(row)}
@@ -726,6 +736,8 @@ def test_certified_pd_builds_no_lattice():
     walk = _walk(J, DEFAULT_LATTICE_CAP)
     assert walk._lattice is None and walk._core is None
     assert betti_table(J).pd() == 5
+    # with the lattice built, pd walks the bands of the non-cone rows
+    assert pd(J) == 5 and pd(J, FieldSpec(2)) == 5
 
 
 def assert_walk_shared(J, chars, pd_first):
