@@ -283,7 +283,8 @@ def check_pd_linearity(
     pd(n) = n - d eventually; d - 1 is reported as the limiting depth.
     When the growth checks hold but the affine tail has fewer than the four
     points `detect_linear` needs, the window is too short: the result is
-    not applicable rather than a failure.
+    not applicable rather than a failure, and so is a chain whose seed term
+    is the unit ideal, where every pd is 0.
     """
     name = "pd_linearity"
     r = chain.index
@@ -296,6 +297,8 @@ def check_pd_linearity(
     pts = []
     for n in range(r, r + horizon + 1):
         t = term(chain, n)
+        if not t.is_proper:  # the seed; a chain with a proper seed stays proper
+            return CheckResult(name, False, True, {"reason": "improper seed"})
         pts.append((n, betti_table(t, field, gen_cap, lattice_cap).pd()))
     increments_ok = all(b >= a + 1 for (_, a), (_, b) in zip(pts, pts[1:]))
     bound_ok = all(v <= n - 1 for n, v in pts)

@@ -72,31 +72,33 @@ The third cache, `_walk`, keys a `_Walk` by (ideal, lattice_cap) alone
 (up to 256 walks): everything a walk holds but its answers is the same
 in every characteristic.  A walk answers two questions lazily, pd and
 the table, each per p, and builds the lattice, with the lattice cap
-checked, only when one of them needs it.  Classifying a point records
-only the index of its strong core among the walk's distinct cores (or
-marks a cone); p enters through `_class_ranks`, once per distinct core,
-and the ranks are scattered onto the rows.  So each point is classified
-at most once for all characteristics: `betti --char 2` after
-`betti --char 32003` on one ideal only computes ranks.  `table` classifies
-every point not yet classified, drops the cones, keeps the other rows
-with their weights and core indices for the next characteristic, and
-assembles the `BettiTable`; `pd` needs far less.  While no lattice is
-built it looks for a depth-zero certificate: a socle monomial x^u of S/I
-(u outside I, x_i x^u in I for every i).  Its upper Koszul complex at
-u + (1, ..., 1) is the boundary of the (n-1)-simplex, so pd = n - 1, the
-largest value there is, with no lattice built and no lattice cap tripped;
-by Auslander-Buchsbaum such a u exists exactly when pd = n - 1.  The
-candidates are the products of the g_j - 1 over the generator exponents,
-at most 2^16 of them, tested in blocks, once per walk.  Otherwise pd
-walks the support bands of the lattice rows, built if need be:
-beta_{i,a} != 0 implies i <= |supp a| - 1, so it classifies the points
-of the top support first, and then, if the best degree found over GF(p)
-is `best`, only the points below the top with support at least best + 2;
-no point of smaller support can exceed `best`.  Both bands pass
-`_complex_classes` a subset of the lattice points, which is all its cone
-test needs.  `pd` and the pd series take the walk; `betti_table` and
-every caller that needs the table anyway (the `betti` CSV, the verify
-checks, the other series metrics) take the table.
+checked, only when one of them needs it; it counts the support of each
+row then, once.  Classifying a point records only the index of its
+strong core among the walk's distinct cores; cones are dropped.  The
+rows are classified down one support threshold: those of support at
+least the threshold are classified, the rest are not yet.  p enters
+through `_class_ranks`, once per distinct core, and the ranks are
+scattered onto the rows.  So each point is classified at most once for
+all characteristics: `betti --char 2` after `betti --char 32003` on one
+ideal only computes ranks.  `table` lowers the threshold to 0 and
+assembles the `BettiTable` from the rows kept; `pd` needs far less.
+While no lattice is built it looks for a depth-zero certificate: a
+socle monomial x^u of S/I (u outside I, x_i x^u in I for every i).  Its
+upper Koszul complex at u + (1, ..., 1) is the boundary of the
+(n-1)-simplex, so pd = n - 1, the largest value there is, with no
+lattice built and no lattice cap tripped; by Auslander-Buchsbaum such a
+u exists exactly when pd = n - 1.  The candidates are the products of
+the g_j - 1 over the generator exponents, at most 2^16 of them, tested
+in blocks, once per walk.  Otherwise pd walks the support bands of the
+lattice rows, built if need be: beta_{i,a} != 0 implies
+i <= |supp a| - 1, so it lowers the threshold to the top support of the
+rows kept first, and then, if the best degree found over GF(p) is
+`best`, to best + 2; no point of smaller support can exceed `best`.
+Both bands pass `_complex_classes` a subset of the lattice points, which
+is all its cone test needs, and after a table pd classifies nothing.
+`pd` and the pd series take the walk; `betti_table` and every caller
+that needs the table anyway (the `betti` CSV, the verify checks, the
+other series metrics) take the table.
 """
 from __future__ import annotations
 
@@ -492,7 +494,13 @@ def _complex_classes(points: np.ndarray, gens: np.ndarray):
     Yields (point index, s, facets) for each point whose complex is not a
     cone, with the facets relabelled onto 0..s-1 along the support and
     sorted: the key of `_class_ranks`.  The points must be lcm-lattice
-    points, so that the minimal tight masks decide the cones.
+    points, so that the minimal tight masks decide the cones.  Each block
+    of at most _BLOCK_CELLS (point, generator) cells sorts its distinct
+    tight masks per row and finds the minimal ones in one pass over the
+    mask columns, mask k against the k masks to its left, so a row with c
+    masks costs about c^2 / 2 subset tests and no temporary exceeds the
+    block.  Points are yielded block by block, within a block by their
+    number of tight masks.
     """
     n = gens.shape[1]
     chunk = max(1, _BLOCK_CELLS // len(gens))
@@ -515,37 +523,34 @@ def _complex_classes(points: np.ndarray, gens: np.ndarray):
         t[:, 1:] = np.where(t[:, 1:] == t[:, :-1], supp[:, None], t[:, 1:])
         t.sort(axis=1)
         count = (t < supp[:, None]).sum(axis=1)
+        # rows by mask count, so that the rows with a mask k are a suffix:
+        # each step below then works on views, not on gathered copies
         order = np.argsort(count, kind="stable")
-        lo = 0
-        while lo < len(order):
-            # group rows of similar count so that rows * width^2 stays bounded
-            cost = np.arange(1, len(order) - lo + 1) * (count[order[lo:]] + 1) ** 2
-            hi = lo + max(1, int(np.searchsorted(cost, _BLOCK_CELLS, side="right")))
-            rows = order[lo:hi]
-            lo = hi
-            width = min(int(count[rows[-1]]) + 1, t.shape[1])
-            tt = t[rows, :width]
-            sp = supp[rows]
-            # in a sorted row a proper subset sits to the left, and of equal
-            # padding only the leftmost copy can be minimal
-            left_subset = ((tt[:, None, :] & ~tt[:, :, None]) == 0) & np.tri(
-                width, k=-1, dtype=bool
-            )
-            minimal = ~left_subset.any(axis=2)
-            # a vertex in no minimal tight mask lies in every maximal facet: cone
-            open_ = np.bitwise_or.reduce(np.where(minimal, tt, 0), axis=1) == sp
-            rows, tt, sp, minimal = rows[open_], tt[open_], sp[open_], minimal[open_]
-            relabeled = np.zeros_like(tt)
-            below = np.zeros(len(rows), dtype=np.int64)  # support vertices below j
-            for j in range(n):
-                relabeled |= ((tt >> j) & 1) << below[:, None]
-                below += (sp >> j) & 1
-            full = (np.int64(1) << below) - 1
-            facets = np.where(minimal, full[:, None] ^ relabeled, np.iinfo(np.int64).max)
-            facets.sort(axis=1)
-            sizes = minimal.sum(axis=1)
-            for r, s, f, k in zip(rows.tolist(), below.tolist(), facets, sizes.tolist()):
-                yield first + r, s, tuple(f[:k].tolist())
+        supp, count = supp[order], count[order]
+        most = int(count[-1])
+        t = t[order, : most + 1]  # the rest is padding
+        # in a sorted row a proper subset sits to the left, and of equal
+        # masks only the leftmost copy can be minimal.  Column 0 always is:
+        # a lone tight mask equals supp at a generator's own point
+        minimal = np.zeros(t.shape, dtype=bool)
+        minimal[:, 0] = True
+        starts = np.searchsorted(count, np.arange(1, most), side="right")
+        for k, lo in enumerate(starts.tolist(), 1):
+            minimal[lo:, k] = (t[lo:, :k] & ~t[lo:, k, None]).all(axis=1)
+        # a vertex in no minimal tight mask lies in every maximal facet: cone
+        open_ = np.flatnonzero(np.bitwise_or.reduce(np.where(minimal, t, 0), axis=1) == supp)
+        t, supp, minimal = t[open_], supp[open_], minimal[open_]
+        relabeled = np.zeros_like(t)
+        below = np.zeros(len(t), dtype=np.int64)  # support vertices below j
+        for j in range(n):
+            relabeled |= ((t >> j) & 1) << below[:, None]
+            below += (supp >> j) & 1
+        full = (np.int64(1) << below) - 1
+        facets = np.where(minimal, full[:, None] ^ relabeled, np.iinfo(np.int64).max)
+        facets.sort(axis=1)
+        sizes = minimal.sum(axis=1)
+        for r, s, f, k in zip(order[open_].tolist(), below.tolist(), facets, sizes.tolist()):
+            yield first + r, s, tuple(f[:k].tolist())
 
 
 # -- Betti tables ----------------------------------------------------------
@@ -628,18 +633,18 @@ class _Walk:
     The lattice itself is built on first use, with the lattice cap
     checked then: a pd certified by a socle witness builds none.  The
     lattice and its classification are the same in every characteristic;
-    only the tables are kept per characteristic.  Each lattice row gets
-    one entry of `_core`: -2 while unclassified, -1 for a cone, else an
-    index into `_cores`, the distinct strong cores met so far.  `pd(p)`
-    and `table(p)` classify rows only as far as each needs, and every row
-    at most once for all characteristics; p enters only through
-    `_class_ranks` of each distinct core.  Once every row is classified
-    the cones are dropped, and the non-cone rows, their weights and their
-    core indices are kept for the tables of other characteristics and for
-    pd, which reads its bands off them.  A
-    generator set closed under permuting the variables has an invariant
-    Betti table, beta_{i, sigma a} = beta_{i, a}, so the lattice holds one
-    point per orbit.
+    only the tables are kept per characteristic.  The support size of
+    each row is counted once, when the lattice is built.  The rows are
+    classified down one support threshold `_low`: exactly the rows with
+    support at least `_low` are classified, and of those only the
+    non-cones are kept.  Each row gets one entry of `_core`, an index into
+    `_cores`, the distinct strong cores met so far, or -1 while it is not
+    classified.  `pd(p)` and `table(p)` lower the threshold only as far as
+    each needs, so every row is classified at most once for all
+    characteristics; p enters only through `_class_ranks` of each
+    distinct core.  A generator set closed under permuting the variables
+    has an invariant Betti table, beta_{i, sigma a} = beta_{i, a}, so the
+    lattice holds one point per orbit.
     """
 
     def __init__(self, ideal: MonomialIdeal, lattice_cap: int) -> None:
@@ -649,44 +654,49 @@ class _Walk:
         self._certified: bool | None = None  # whether a socle witness exists
         self._lattice: np.ndarray | None = None
         self._weights: np.ndarray | None = None
-        self._core: np.ndarray | None = None  # per row: -2, -1 or a core index
+        self._supp: np.ndarray | None = None  # per row: its support size
+        self._core: np.ndarray | None = None  # per row: -1 or a core index
+        self._low = ideal.ambient + 1  # the least support classified
         self._cores: dict[tuple[int, tuple[int, ...]], int] = {}  # core -> index
         self._tables: dict[int, BettiTable] = {}
         self._lock = threading.Lock()
 
-    def _build(self) -> np.ndarray:
-        """The lattice rows, closed on the first call."""
+    def _classify(self, low: int) -> None:
+        """Classify every row of support at least `low`, building the
+        lattice on the first call, and drop the cones among them."""
         if self._lattice is None:
             self._lattice, self._weights = _lattice_matrix(
                 self._gens, self._lattice_cap, _symmetric(self._gens)
             )
-            self._core = np.full(len(self._lattice), -2, dtype=np.int64)
-        return self._lattice
-
-    def _classify(self, index: np.ndarray) -> None:
-        """Record the core index of each lattice row `index`, -1 for a cone."""
+            self._supp = np.count_nonzero(self._lattice, axis=1)
+            self._core = np.full(len(self._lattice), -1, dtype=np.int64)
+        band = np.flatnonzero((low <= self._supp) & (self._supp < self._low))
+        self._low = min(low, self._low)
+        if not len(band):
+            return
         cores = self._cores
         found = np.fromiter(
             (
                 (r, cores.setdefault(_strong_core(s, facets), len(cores)))
-                for r, s, facets in _complex_classes(self._lattice[index], self._gens)
+                for r, s, facets in _complex_classes(self._lattice[band], self._gens)
             ),
             dtype=np.dtype((np.int64, 2)),
         )
-        self._core[index] = -1
-        self._core[index[found[:, 0]]] = found[:, 1]
+        self._core[band[found[:, 0]]] = found[:, 1]
+        keep = (self._core >= 0) | (self._supp < low)
+        self._lattice = self._lattice[keep]
+        self._weights = self._weights[keep]
+        self._supp = self._supp[keep]
+        self._core = self._core[keep]
 
-    def _best(self, rows: np.ndarray, p: int) -> int:
-        """The largest degree of a Betti number over GF(p) at the rows of the
-        mask `rows`, -1 if none, classifying the rows not yet classified."""
-        self._classify(np.flatnonzero(rows & (self._core == -2)))
-        present = np.zeros(len(self._cores), dtype=bool)
-        ids = self._core[rows]
-        present[ids[ids >= 0]] = True
+    def _best(self, low: int, p: int) -> int:
+        """The largest degree of a Betti number over GF(p) at the rows of
+        support at least `low`, -1 if none, classifying them first."""
+        self._classify(low)
+        present = np.flatnonzero(np.bincount(self._core[self._supp >= low]))
         cores = list(self._cores)
         return max(
-            (max(_class_ranks(*cores[c], p), default=-1)
-             for c in np.flatnonzero(present).tolist()),
+            (max(_class_ranks(*cores[c], p), default=-1) for c in present.tolist()),
             default=-1,
         )
 
@@ -696,10 +706,10 @@ class _Walk:
         the lattice rows.
 
         beta_{i,a} != 0 implies i <= |supp a| - 1, so once the top band
-        gives `best`, only the points with best + 2 <= |supp a| can exceed
-        it; a second pass classifies those below the top.  Rows classified
-        before, for any p, are not classified again, and after a table the
-        rows are the non-cone ones.
+        of the rows kept gives `best`, only the points with best + 2 <=
+        |supp a| can exceed it; a second pass lowers the threshold to
+        best + 2.  Rows classified before, for any p, are not classified
+        again, so after a table pd only reads the classified rows.
         """
         with self._lock:
             if self._lattice is None:
@@ -707,11 +717,11 @@ class _Walk:
                     self._certified = _socle_witness(self._gens) is not None
                 if self._certified:
                     return self._ambient - 1
-            supp = np.count_nonzero(self._build(), axis=1)
-            top = int(supp.max())
-            best = self._best(supp == top, p)
+            self._classify(self._ambient + 1)  # builds the lattice, classifies no row
+            top = int(self._supp.max())
+            best = self._best(top, p)
             if best + 2 < top:
-                best = self._best(supp >= best + 2, p)
+                best = self._best(best + 2, p)
             return best
 
     def table(self, p: int) -> BettiTable:
@@ -720,13 +730,7 @@ class _Walk:
         with self._lock:
             if p in self._tables:
                 return self._tables[p]
-            self._build()
-            if (self._core < 0).any():
-                self._classify(np.flatnonzero(self._core == -2))
-                keep = self._core >= 0
-                self._lattice = self._lattice[keep]
-                self._weights = self._weights[keep]
-                self._core = self._core[keep]
+            self._classify(0)
             ranks = [_class_ranks(*core, p) for core in self._cores]
             counts = np.array([len(r) for r in ranks], dtype=np.int64)
             degrees = np.array([i for r in ranks for i in r], dtype=np.int64)
@@ -748,10 +752,7 @@ class _Walk:
             return table
 
 
-@lru_cache(maxsize=256)
-def _walk(ideal: MonomialIdeal, lattice_cap: int) -> _Walk:
-    """The lattice walk of a validated ideal, cached per (ideal, lattice_cap)."""
-    return _Walk(ideal, lattice_cap)
+_walk = lru_cache(maxsize=256)(_Walk)
 
 
 def _checked_walk(

@@ -56,7 +56,7 @@ def _add_chain_options(sub: argparse.ArgumentParser) -> None:
     )
     group.add_argument(
         "--msat",
-        type=int,
+        type=_positive_int,
         metavar="M",
         help="work with the m-saturation for this exponent",
     )
@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_betti = subs.add_parser("betti", help="Betti table of one term as CSV")
     _add_chain_options(p_betti)
-    p_betti.add_argument("--n", type=int, required=True, help="term width")
+    p_betti.add_argument("--n", type=_positive_int, required=True, help="term width")
     _add_field_options(p_betti)
     p_betti.set_defaults(func=cmd_betti)
 
@@ -306,9 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run this check (repeatable; default: all)",
     )
     p_verify.add_argument("--horizon", type=_positive_int, default=4)
-    p_verify.add_argument("--e", type=int, default=1, help="colon exponent")
-    p_verify.add_argument("--m", type=int, default=2, help="saturation exponent")
-    p_verify.add_argument("--n", type=int, default=None, help="width for betti check")
+    p_verify.add_argument("--e", type=_nonnegative_int, default=1, help="colon exponent")
+    p_verify.add_argument("--m", type=_positive_int, default=2, help="saturation exponent")
+    p_verify.add_argument("--n", type=_positive_int, default=None, help="width for betti check")
     _add_field_options(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 

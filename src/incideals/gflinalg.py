@@ -1,6 +1,7 @@
 """Exact linear algebra over prime fields GF(p)."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,27 +10,8 @@ __all__ = ["FieldSpec", "DEFAULT_FIELD", "gf_rank"]
 
 
 def _is_prime(n: int) -> bool:
-    # deterministic Miller-Rabin, valid far beyond 2^31
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    # trial division: FieldSpec bounds n below 2^31, so at most 46,341 steps
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 @dataclass(frozen=True)

@@ -125,6 +125,15 @@ def test_check_pd_linearity_na_on_unsaturated(mixed_squares_chain):
     assert not res.applicable and res.holds
 
 
+@pytest.mark.parametrize("saturate", [False, True], ids=["plain", "saturation"])
+def test_check_pd_linearity_na_on_the_unit_chain(saturate):
+    # every term is the unit ideal, of pd 0, so pd cannot grow
+    chain = OrbitChain(seed=ideal([[]], 1), index=1)
+    res = check_pd_linearity(saturation(chain) if saturate else chain, horizon=4)
+    assert not res.applicable and res.holds
+    assert res.details == {"reason": "improper seed"}
+
+
 def test_check_pd_linearity_holds(squares_chain):
     res = check_pd_linearity(squares_chain, horizon=6)
     assert res.applicable and res.holds

@@ -632,17 +632,28 @@ def test_lattice_support_vertices_are_tight_for_a_divisor(J, K):
                 assert not e or any(g[j] == e for g in divisors), (I, a, j)
 
 
+def assert_classes_match_koszul(I, symmetric):
+    rows = lattice_rows(I, symmetric)
+    classes = {r: (s, facets) for r, s, facets in _complex_classes(rows, _dense(I))}
+    for r, a in enumerate(rows.tolist()):
+        koszul = koszul_complex(I, Monomial.from_dense(a, I.ambient))
+        if koszul.is_cone:
+            assert r not in classes, (I, a)
+        else:
+            assert classes[r] == (len(koszul.vertices), koszul.facet_masks()), (I, a)
+
+
 @given(small_ideals(), symmetric_ideals())
 def test_complex_classes_skip_exactly_the_cones(J, K):
     for I, symmetric in ((J, False), (K, True)):
-        rows = lattice_rows(I, symmetric)
-        classes = {r: (s, facets) for r, s, facets in _complex_classes(rows, _dense(I))}
-        for r, a in enumerate(rows.tolist()):
-            koszul = koszul_complex(I, Monomial.from_dense(a, I.ambient))
-            if koszul.is_cone:
-                assert r not in classes, (I, a)
-            else:
-                assert classes[r] == (len(koszul.vertices), koszul.facet_masks()), (I, a)
+        assert_classes_match_koszul(I, symmetric)
+
+
+@settings(max_examples=60)
+@given(chain_terms())
+def test_complex_classes_skip_exactly_the_cones_on_chain_terms(J):
+    # chain terms have lattice points with many tight masks
+    assert_classes_match_koszul(J, False)
 
 
 def expanded_by_monomials(T):
@@ -714,9 +725,11 @@ def test_pd_walk_stops_at_the_top_band():
     _walk.cache_clear()
     assert pd(J) == 4
     walk = _walk(J, DEFAULT_LATTICE_CAP)
-    assert int((walk._core != -2).sum()) == 1 < len(walk._core) == 31
+    assert walk._low == 6
+    assert int((walk._core >= 0).sum()) == 1 < len(walk._core) == 31
     assert betti_table(J).pd() == 4
-    assert len(walk._lattice) == len(walk._weights) == 31 and walk._core.min() >= 0
+    assert walk._low == 0 and walk._core.min() >= 0
+    assert len(walk._lattice) == len(walk._weights) == 31
     # the top band of this lattice is one cone, which the table releases
     K = ideal([[(1, 2), (4, 1)], [(3, 1), (4, 2)], [(1, 3), (2, 1)]], 4)
     walk = _walk(K, DEFAULT_LATTICE_CAP)
@@ -799,6 +812,29 @@ def test_walk_is_shared_across_characteristics(chars, pd_first):
        st.permutations([2, 32003]), st.booleans())
 def test_drawn_walks_are_shared_across_characteristics(J, chars, pd_first):
     assert_walk_shared(J, tuple(chars), pd_first)
+
+
+@pytest.mark.parametrize("chars", [(32003, 2), (2, 32003)])
+@pytest.mark.parametrize("J", [rp2_stanley_reisner(), complete_intersection_in_six(),
+                               ideal([[(1, 2), (4, 1)], [(3, 1), (4, 2)], [(1, 3), (2, 1)]], 4)],
+                         ids=["rp2", "complete_intersection", "cone_top_band"])
+def test_pd_after_a_table_reads_the_classified_rows(J, chars):
+    # a table in one characteristic classifies every row for both
+    _walk.cache_clear()
+    cold = {p: betti_table(J, FieldSpec(p)).pd() for p in chars}
+    _walk.cache_clear()
+    betti_table(J, FieldSpec(chars[0]))
+    calls = []
+
+    def counted(name):
+        original = getattr(betti_module, name)
+        return lambda *args: calls.append(name) or original(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_lattice_matrix", "_complex_classes"):
+            mp.setattr(betti_module, name, counted(name))
+        assert [pd(J, FieldSpec(p)) for p in chars] == [cold[p] for p in chars]
+    assert calls == []
 
 
 @pytest.mark.parametrize(

@@ -315,6 +315,14 @@ def test_verify_pd_short_window(tmp_path, capsys, horizon, line):
     assert out[0].startswith(line)
 
 
+@pytest.mark.parametrize("extra", [[], ["--saturation"]], ids=["plain", "saturation"])
+def test_verify_pd_unit_chain_is_na(tmp_path, capsys, extra):
+    p = tmp_path / "unit.chain"
+    p.write_text("index 1\ngen 1\n")
+    assert main(["verify", str(p), "--check", "pd", *extra]) == 0
+    assert capsys.readouterr().out == "NA   pd_linearity (improper seed)\n"
+
+
 class RecordingPool:
     """Stands in for ProcessPoolExecutor: records the worker count, runs inline."""
 
@@ -412,6 +420,22 @@ def test_caps_below_one_rejected_before_output(squares_file, capsys, command, op
 def test_explore_seed_parameters_rejected_before_output(capsys, option, value):
     with pytest.raises(SystemExit) as e:
         main(EXPLORE_ARGV + [option, value])
+    assert e.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["betti", "--n", "0"], ["betti", "--n", "2", "--msat", "0"],
+     ["series", "--metric", "pd", "--from", "1", "--to", "3", "--msat", "0"],
+     ["verify", "--msat", "0"], ["verify", "--m", "0"], ["verify", "--e", "-1"],
+     ["verify", "--n", "0"]],
+    ids=["betti_n", "betti_msat", "series_msat", "verify_msat", "verify_m", "verify_e",
+         "verify_n"],
+)
+def test_numeric_options_out_of_range_rejected_before_output(squares_file, capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        main([argv[0], squares_file, *argv[1:]])
     assert e.value.code == 2
     assert capsys.readouterr().out == ""
 

@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from incideals import FieldSpec, gf_rank
+from incideals.gflinalg import _is_prime
 
 
 def rational_rank(mat):
@@ -35,6 +37,19 @@ def test_field_spec_validation():
         FieldSpec(32004)  # composite
     with pytest.raises(ValueError):
         FieldSpec(2**31 + 11)
+    assert FieldSpec(2**31 - 1).p == 2**31 - 1  # the largest prime allowed
+    with pytest.raises(ValueError):
+        FieldSpec(561)  # a Carmichael number
+
+
+def test_is_prime_matches_a_sieve():
+    n = 1 << 16
+    sieve = np.ones(n, dtype=bool)
+    sieve[:2] = False
+    for d in range(2, math.isqrt(n) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = False
+    assert [_is_prime(k) for k in range(n)] == sieve.tolist()
 
 
 def test_rank_golden():
