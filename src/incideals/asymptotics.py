@@ -336,7 +336,10 @@ def check_reg_slope(
         raise ValueError("horizon must be at least 1")
     name = "reg_slope"
     r = chain.index
-    inv = chain_invariants(chain)
+    try:
+        inv = chain_invariants(chain)
+    except ImproperIdeal:  # the seed term is the unit ideal, and so every term
+        return CheckResult(name, False, True, {"reason": "improper seed"})
     w = inv.w
     pts = []
     for n in range(r, r + horizon + 1):
@@ -388,7 +391,10 @@ def check_betti_propagation(
         raise ValueError("width below the chain index")
     if not window_saturated(chain, n - chain.index + 1):
         return CheckResult(name, False, True, {"reason": "chain not saturated"})
-    inv = chain_invariants(chain)
+    try:
+        inv = chain_invariants(chain)
+    except ImproperIdeal:  # the seed term is the unit ideal, and so every term
+        return CheckResult(name, False, True, {"reason": "improper seed"})
     if not inv.lambda_exact:
         return CheckResult(
             name, False, True, {"reason": "lambda certificate inconclusive"}

@@ -14,9 +14,11 @@ proportional to the lattice size, keeping the points as one sorted array
 of keys (integers, or bytes for very wide exponent ranges).
 `_complex_classes` reads each point's complex off its divisibility and
 tight-vertex masks (g dividing x^a is tight at each j with g_j = a_j):
-the maximal facets are the complements of the minimal tight masks.  `_strong_core` shrinks each
-distinct facet set to its strong core, and `_class_ranks` computes the
-homology of each distinct core once per characteristic.
+the maximal facets are the complements of the minimal tight masks.  For
+each block of points, `_distinct_rows` finds the distinct facet sets,
+`_strong_cores` shrinks all of them to their strong cores at once, and
+`_class_ranks` computes the homology of each distinct core once per
+characteristic.
 
 Every coordinate of a = lcm(S) is attained by some g in S, which divides
 x^a, so each support vertex of a lattice point is tight for a divisor.
@@ -51,30 +53,31 @@ reference path in ``simplicial``:
 * every other complex is shrunk to its strong core, on its facet masks
   alone, before any face is enumerated: a vertex v is dominated when
   every facet through v also contains some other vertex, and dominated
-  vertices are deleted one at a time while there is one.  Each deletion
-  is a strong deformation retract (Barmak-Minian, "Strong homotopy types,
-  nerves and collapses", 2012), so the reduced homology is unchanged over
-  every field, and the core does not depend on p;
+  vertices are deleted in passes over v = 0, 1, ... until a pass deletes
+  none, for all complexes of a block at once.  Each deletion is a strong
+  deformation retract (Barmak-Minian, "Strong homotopy types, nerves and
+  collapses", 2012), so the reduced homology is unchanged over every
+  field, and the core does not depend on p;
 * per core, either the complex itself or its combinatorial Alexander
   dual is reduced, whichever has fewer faces, using
   dim H~_{i-1}(D) = dim H~_{s-i-2}(dual D) over a field.  The dual has
   exactly 2^s - |D| faces, so the choice needs no enumeration.
 
-The caches are ``functools.lru_cache``s.  Two serve the complex classes,
-so that the many repeated orbit patterns along a chain are reduced once:
-`_strong_core` maps a relabeled facet set (s, facets) to its core with no
-characteristic in the key, and `_class_ranks` maps (core, p) to the ranks
-(up to 65536 entries each).  Many classes share one core, so few rank
-computations remain; the cache in front of the core keeps a repeated
-class at one lookup.  Each ``cache_info()`` reports hits and misses.
+The caches are ``functools.lru_cache``s.  `_class_ranks` maps (core, p)
+to the ranks (up to 65536 entries), so that the many repeated orbit
+patterns along a chain are reduced once: many classes share one core, so
+few rank computations remain.  Cores themselves are not cached across
+walks; within a block each distinct facet set is shrunk once.  Each
+``cache_info()`` reports hits and misses.
 
-The third cache, `_walk`, keys a `_Walk` by (ideal, lattice_cap) alone
+The other cache, `_walk`, keys a `_Walk` by (ideal, lattice_cap) alone
 (up to 256 walks): everything a walk holds but its answers is the same
 in every characteristic.  A walk answers two questions lazily, pd and
 the table, each per p, and builds the lattice, with the lattice cap
 checked, only when one of them needs it; it counts the support of each
 row then, once.  Classifying a point records only the index of its
-strong core among the walk's distinct cores; cones are dropped.  The
+strong core among the walk's distinct cores, with Python work once per
+distinct core of a block, not once per point; cones are dropped.  The
 rows are classified down one support threshold: those of support at
 least the threshold are classified, the rest are not yet.  p enters
 through `_class_ranks`, once per distinct core, and the ranks are
@@ -103,11 +106,10 @@ other series metrics) take the table.
 from __future__ import annotations
 
 import math
-import operator
 import threading
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -135,6 +137,7 @@ DEFAULT_LATTICE_CAP = 500_000
 _MAX_AMBIENT = 62  # bitmask faces live in int64
 _MAX_WEIGHT = int(np.iinfo(np.int64).max)  # lattice points per row, and so the cap
 _BLOCK_CELLS = 1 << 18  # cells per block temporary; bounds peak memory
+_PAD = int(np.iinfo(np.int64).max)  # pads facet rows; sorts after every facet mask
 
 
 # -- dense exponents -------------------------------------------------------
@@ -432,41 +435,90 @@ def _ranks_from_faces(faces: set[int], s: int, p: int) -> dict[int, int]:
     }
 
 
-@lru_cache(maxsize=1 << 16)
-def _strong_core(s: int, facets: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """The strong core (k, facets) of a complex given by maximal facets.
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D array, and for each row its index among them.
 
-    A vertex v is dominated when every facet through v also contains some
-    other vertex; deleting it keeps the complex's strong homotopy type
-    (Barmak-Minian, "Strong homotopy types, nerves and collapses", 2012),
-    so the reduced homology in every characteristic.  Dominated vertices
-    are deleted one at a time until none is left, and the vertices still
-    in a facet are relabelled onto 0..k-1 in order.  A cone ends as a
-    single vertex.
+    One argsort of the rows' bytes: the distinct rows come out in byte
+    order, which is all that grouping needs.  `np.unique` would also do,
+    but its first call in an interpreter costs 10-20 ms.
     """
-    live = set(facets)
-    shrinking = True
-    while shrinking:
-        shrinking = False
-        for v in range(s):
-            bit = 1 << v
-            through = [f for f in live if f & bit]
-            if not through or reduce(operator.and_, through) == bit:
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return rows[order[first]], inverse
+
+
+def _strong_cores(s: np.ndarray, facets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The strong cores (k, facets) of complexes given by maximal facets, row-wise.
+
+    Row r is a complex on s[r] vertices whose maximal facets are the
+    masks of facets[r], padded with _PAD.  A vertex v is dominated when
+    every facet through v also contains some other vertex, that is when
+    the AND of the facets through v is more than v alone; deleting it
+    keeps the complex's strong homotopy type (Barmak-Minian, "Strong
+    homotopy types, nerves and collapses", 2012), so the reduced homology
+    in every characteristic.  All rows are shrunk together, in passes over
+    v = 0, 1, ...: a row deletes v when v is dominated there, and a row
+    that deleted nothing in a pass is a core.  Deleting v takes v out of
+    the facets through it and drops each that becomes a subset of a facet
+    not through v.  The facets stay an antichain and none becomes empty,
+    so dropped facets and padding can be 0 while rows shrink: the empty
+    face is a facet only of {empty face}, where it stands alone.  The
+    vertices still in a facet are then relabelled onto 0..k-1 in order,
+    and the facets sorted and padded with _PAD again.  A cone ends as a
+    single vertex.  The subset tests of a step form a rows x facets x
+    facets cube and the relabelling a rows x facets x s cube, each taken
+    in slices of rows of at most _BLOCK_CELLS cells (one row when a row's
+    part alone is larger); the other temporaries are rows x facets, as
+    large as the input.
+    """
+    masks = np.where(facets == _PAD, 0, facets)
+    width = masks.shape[1]
+    slab = max(1, _BLOCK_CELLS // (width * width))
+    active = np.arange(len(masks))
+    while len(active):
+        live = masks[active]
+        deleted = np.zeros(len(active), dtype=bool)
+        for v in range(int(s[active].max())):
+            bit = np.int64(1) << v
+            through = (live & bit) != 0
+            # the AND of the facets through v holds v, and more iff v is
+            # dominated; with no facet through v it is -1
+            meet = np.bitwise_and.reduce(live, axis=1, where=through, initial=-1)
+            rows = np.flatnonzero(meet > bit)
+            if not len(rows):
                 continue
-            # only a facet through v can become a subset of another one
-            rest = [g for g in live if not g & bit]
-            live = set(rest)
-            live.update(f ^ bit for f in through if all((f ^ bit) & ~g for g in rest))
-            shrinking = True
-    union = reduce(operator.or_, live, 0)
-    used = [v for v in range(s) if union >> v & 1]
-    relabeled = []
-    for f in live:
-        mask = 0
-        for new, v in enumerate(used):
-            mask |= (f >> v & 1) << new
-        relabeled.append(mask)
-    return len(used), tuple(sorted(relabeled))
+            deleted[rows] = True
+            for lo in range(0, len(rows), slab):
+                at = rows[lo : lo + slab]
+                cut, hit = live[at] & ~bit, through[at]
+                # a facet through v that now lies in a facet not through v is dropped
+                rest = np.where(hit, 0, cut)
+                drop = hit & ((cut[:, :, None] & ~rest[:, None, :]) == 0).any(axis=2)
+                live[at] = np.where(drop, 0, cut)
+        masks[active] = live
+        active = active[deleted]
+    union = np.bitwise_or.reduce(masks, axis=1)
+    vertices = np.arange(max(1, int(s.max())), dtype=np.int64)
+    lower = (np.int64(1) << vertices) - 1  # the vertices below each j
+    relabeled = np.empty_like(masks)
+    step = max(1, _BLOCK_CELLS // (width * len(vertices)))
+    for lo in range(0, len(masks), step):
+        part = slice(lo, lo + step)
+        # vertex j moves to the number of used vertices below it
+        below = np.bitwise_count(union[part, None] & lower)
+        bits = (masks[part, :, None] >> vertices) & 1
+        relabeled[part] = np.bitwise_or.reduce(bits << below[:, None, :], axis=2)
+    cores = np.where(masks == 0, _PAD, relabeled)
+    cores[union == 0, 0] = 0  # {empty face}
+    cores.sort(axis=1)
+    k = np.bitwise_count(union).astype(np.int64)
+    return k, cores[:, : (cores != _PAD).sum(axis=1).max()]
 
 
 @lru_cache(maxsize=1 << 16)
@@ -491,16 +543,18 @@ def _class_ranks(s: int, facets: tuple[int, ...], p: int) -> dict[int, int]:
 def _complex_classes(points: np.ndarray, gens: np.ndarray):
     """The relabelled maximal facets of the upper Koszul complexes at `points`.
 
-    Yields (point index, s, facets) for each point whose complex is not a
-    cone, with the facets relabelled onto 0..s-1 along the support and
-    sorted: the key of `_class_ranks`.  The points must be lcm-lattice
+    Yields one triple of arrays (index, s, facets) per block, over the
+    points of the block whose complex is not a cone: their indices into
+    `points`, their support sizes s, and their maximal facets relabelled
+    onto 0..s-1 along the support, sorted, and padded with _PAD to the
+    block's largest facet count.  The points must be lcm-lattice
     points, so that the minimal tight masks decide the cones.  Each block
     of at most _BLOCK_CELLS (point, generator) cells sorts its distinct
     tight masks per row and finds the minimal ones in one pass over the
     mask columns, mask k against the k masks to its left, so a row with c
     masks costs about c^2 / 2 subset tests and no temporary exceeds the
-    block.  Points are yielded block by block, within a block by their
-    number of tight masks.
+    block.  Within a block the points come by their number of tight masks;
+    a block whose points are all cones yields nothing.
     """
     n = gens.shape[1]
     chunk = max(1, _BLOCK_CELLS // len(gens))
@@ -539,6 +593,8 @@ def _complex_classes(points: np.ndarray, gens: np.ndarray):
             minimal[lo:, k] = (t[lo:, :k] & ~t[lo:, k, None]).all(axis=1)
         # a vertex in no minimal tight mask lies in every maximal facet: cone
         open_ = np.flatnonzero(np.bitwise_or.reduce(np.where(minimal, t, 0), axis=1) == supp)
+        if not len(open_):
+            continue
         t, supp, minimal = t[open_], supp[open_], minimal[open_]
         relabeled = np.zeros_like(t)
         below = np.zeros(len(t), dtype=np.int64)  # support vertices below j
@@ -546,11 +602,9 @@ def _complex_classes(points: np.ndarray, gens: np.ndarray):
             relabeled |= ((t >> j) & 1) << below[:, None]
             below += (supp >> j) & 1
         full = (np.int64(1) << below) - 1
-        facets = np.where(minimal, full[:, None] ^ relabeled, np.iinfo(np.int64).max)
+        facets = np.where(minimal, full[:, None] ^ relabeled, _PAD)
         facets.sort(axis=1)
-        sizes = minimal.sum(axis=1)
-        for r, s, f, k in zip(order[open_].tolist(), below.tolist(), facets, sizes.tolist()):
-            yield first + r, s, tuple(f[:k].tolist())
+        yield first + order[open_], below, facets[:, : minimal.sum(axis=1).max()]
 
 
 # -- Betti tables ----------------------------------------------------------
@@ -639,7 +693,10 @@ class _Walk:
     support at least `_low` are classified, and of those only the
     non-cones are kept.  Each row gets one entry of `_core`, an index into
     `_cores`, the distinct strong cores met so far, or -1 while it is not
-    classified.  `pd(p)` and `table(p)` lower the threshold only as far as
+    classified.  Each block of `_complex_classes` is shrunk to strong
+    cores by `_strong_cores` over its distinct facet sets, and `_cores`
+    is looked up once per distinct core of the block.  Cores are kept per
+    walk only.  `pd(p)` and `table(p)` lower the threshold only as far as
     each needs, so every row is classified at most once for all
     characteristics; p enters only through `_class_ranks` of each
     distinct core.  A generator set closed under permuting the variables
@@ -675,14 +732,17 @@ class _Walk:
         if not len(band):
             return
         cores = self._cores
-        found = np.fromiter(
-            (
-                (r, cores.setdefault(_strong_core(s, facets), len(cores)))
-                for r, s, facets in _complex_classes(self._lattice[band], self._gens)
-            ),
-            dtype=np.dtype((np.int64, 2)),
-        )
-        self._core[band[found[:, 0]]] = found[:, 1]
+        for index, s, facets in _complex_classes(self._lattice[band], self._gens):
+            classes, of_class = _distinct_rows(np.column_stack([s, facets]))
+            distinct, of_core = _distinct_rows(
+                np.column_stack(_strong_cores(classes[:, 0], classes[:, 1:]))
+            )
+            sizes = (distinct[:, 1:] != _PAD).sum(axis=1)
+            ids = [
+                cores.setdefault((row[0], tuple(row[1 : 1 + size])), len(cores))
+                for row, size in zip(distinct.tolist(), sizes.tolist())
+            ]
+            self._core[band[index]] = np.array(ids)[of_core[of_class]]
         keep = (self._core >= 0) | (self._supp < low)
         self._lattice = self._lattice[keep]
         self._weights = self._weights[keep]

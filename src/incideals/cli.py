@@ -65,7 +65,7 @@ def _add_chain_options(sub: argparse.ArgumentParser) -> None:
 def _add_field_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--char",
-        type=int,
+        type=_char,
         default=DEFAULT_FIELD.p,
         metavar="P",
         help="field characteristic (prime, default %(default)s)",
@@ -103,6 +103,14 @@ _positive_int = _number_at_least(int, 1, "positive integer")
 _nonnegative_int = _number_at_least(int, 0, "non-negative integer")
 # the least positive float is the floor: a budget must be finite and > 0
 _seconds = _number_at_least(float, math.ulp(0.0), "finite number of seconds > 0")
+
+
+def _char(text: str) -> int:
+    # FieldSpec's own test, run while parsing: a bad --char is a usage error
+    try:
+        return FieldSpec(int(text)).p
+    except ValueError as exc:  # not an integer, out of range, or not prime
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _resolve_chain(args: argparse.Namespace):
@@ -278,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv = subs.add_parser("invariants", help="chain weight invariants as JSON")
     _add_chain_options(p_inv)
     p_inv.add_argument("--horizon", type=_positive_int, default=None)
-    p_inv.add_argument("--char", type=int, default=DEFAULT_FIELD.p)
+    p_inv.add_argument("--char", type=_char, default=DEFAULT_FIELD.p)
     p_inv.set_defaults(func=cmd_invariants)
 
     p_betti = subs.add_parser("betti", help="Betti table of one term as CSV")

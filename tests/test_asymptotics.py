@@ -134,6 +134,21 @@ def test_check_pd_linearity_na_on_the_unit_chain(saturate):
     assert res.details == {"reason": "improper seed"}
 
 
+@pytest.mark.parametrize("saturate", [False, True], ids=["plain", "saturation"])
+@pytest.mark.parametrize(
+    "check",
+    [lambda chain: check_reg_slope(chain, horizon=4),
+     lambda chain: check_betti_propagation(chain, chain.index + 1)],
+    ids=["reg_slope", "betti_propagation"],
+)
+def test_chain_invariant_checks_na_on_the_unit_chain(saturate, check):
+    # the chain invariants need a proper seed term; the unit chain has none
+    chain = OrbitChain(seed=ideal([[]], 1), index=1)
+    res = check(saturation(chain) if saturate else chain)
+    assert not res.applicable and res.holds
+    assert res.details == {"reason": "improper seed"}
+
+
 def test_check_pd_linearity_holds(squares_chain):
     res = check_pd_linearity(squares_chain, horizon=6)
     assert res.applicable and res.holds

@@ -40,15 +40,17 @@ from incideals import (
 )
 from incideals.betti import (
     DEFAULT_LATTICE_CAP,
+    _PAD,
     _SOCLE_CANDIDATES,
     _class_ranks,
     _complex_classes,
     _dense,
+    _distinct_rows,
     _lattice_matrix,
     _row_keys,
     _socle_columns,
     _socle_witness,
-    _strong_core,
+    _strong_cores,
     _symmetric,
     _walk,
 )
@@ -314,12 +316,93 @@ def complex_on(s, facets):
 
 
 @st.composite
-def facet_classes(draw):
+def facet_classes(draw, least=1):
     """(s, maximal facets): a nonvoid complex on s vertices, as `_complex_classes`
     yields it."""
-    s = draw(st.integers(1, 9))
+    s = draw(st.integers(least, 9))
     facets = draw(st.lists(st.integers(0, (1 << s) - 1), min_size=1, max_size=8))
     return s, complex_on(s, facets).facet_masks()
+
+
+def strong_core_oracle(s, facets):
+    """The strong core (k, facets) of one complex, one vertex deletion at a time.
+
+    The sequential route that `_strong_cores` vectorises: passes over
+    v = 0..s-1 delete each dominated v from the current facets (the
+    facets through v lose v, and those that become a subset of a facet
+    not through v are dropped) until a pass deletes nothing; the
+    vertices left are relabelled onto 0..k-1 in order.
+    """
+    live = set(facets)
+    shrinking = True
+    while shrinking:
+        shrinking = False
+        for v in range(s):
+            bit = 1 << v
+            through = [f for f in live if f & bit]
+            if not through or functools.reduce(operator.and_, through) == bit:
+                continue
+            rest = [g for g in live if not g & bit]
+            live = set(rest)
+            live.update(f ^ bit for f in through if all((f ^ bit) & ~g for g in rest))
+            shrinking = True
+    union = functools.reduce(operator.or_, live, 0)
+    used = [v for v in range(s) if union >> v & 1]
+    relabeled = [sum((f >> v & 1) << new for new, v in enumerate(used)) for f in live]
+    return len(used), tuple(sorted(relabeled))
+
+
+def padded(rows):
+    """Facet tuples as one int64 array, each row padded with _PAD."""
+    width = max(map(len, rows))
+    return np.array([list(f) + [_PAD] * (width - len(f)) for f in rows], dtype=np.int64)
+
+
+def strong_cores_of(classes):
+    """`_strong_cores` on a list of (s, facets), as one (k, facets) pair per row."""
+    s = np.array([c[0] for c in classes], dtype=np.int64)
+    k, cores = _strong_cores(s, padded([c[1] for c in classes]))
+    assert (cores[:, -1] != _PAD).any()  # cut to the widest core
+    return [(size, tuple(f for f in row if f != _PAD))
+            for size, row in zip(k.tolist(), cores.tolist())]
+
+
+def strong_core(s, facets):
+    (core,) = strong_cores_of([(s, facets)])
+    return core
+
+
+@st.composite
+def facet_batches(draw):
+    """Lists of (s, maximal facets) with s from 0 to 9, some rows repeated."""
+    rows = draw(st.lists(facet_classes(least=0), min_size=1, max_size=12))
+    repeats = draw(st.lists(st.sampled_from(rows), max_size=4))
+    return draw(st.permutations(rows + repeats))
+
+
+@given(facet_batches())
+def test_strong_cores_match_the_sequential_deletion(batch):
+    assert strong_cores_of(batch) == [strong_core_oracle(s, f) for s, f in batch]
+
+
+@settings(max_examples=50)
+@given(facet_batches(), st.integers(1, 3))
+def test_strong_cores_do_not_depend_on_the_block_size(batch, rows_per_slab):
+    # the subset cube comes in slabs of rows_per_slab rows, the relabelling cube in
+    # slabs of about as many cells
+    whole = strong_cores_of(batch)
+    width = max(len(f) for _, f in batch)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(betti_module, "_BLOCK_CELLS", rows_per_slab * width * width)
+        assert strong_cores_of(batch) == whole
+
+
+@given(st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3), min_size=1, max_size=30))
+def test_distinct_rows_inverse_rebuilds_the_input(rows):
+    rows = np.array(rows, dtype=np.int64)
+    distinct, inverse = _distinct_rows(rows)
+    assert (distinct[inverse] == rows).all()
+    assert len(set(map(tuple, distinct.tolist()))) == len(distinct)
 
 
 def dominated_vertices(s, facets):
@@ -344,7 +427,7 @@ def test_class_ranks_match_reference_homology():
     def check(case, p):
         s, facets = case
         ref = homology_ranks(complex_on(s, facets), FieldSpec(p))
-        k, core = _strong_core(s, facets)
+        k, core = strong_core(s, facets)
         assert _class_ranks(k, core, p) == {i + 1: h for i, h in ref.items() if h}
         dual_used.add(k > 0 and 2 * len(face_closure(core)) > 1 << k)
 
@@ -355,14 +438,14 @@ def test_class_ranks_match_reference_homology():
 @given(facet_classes(), st.sampled_from([2, 3, 32003]))
 def test_strong_core_is_a_core(case, p):
     s, facets = case
-    k, core = _strong_core(s, facets)
+    k, core = strong_core(s, facets)
     # maximal facets on k vertices, each vertex used, none dominated
     assert core == complex_on(k, core).facet_masks() == tuple(sorted(core))
     assert functools.reduce(operator.or_, core) == (1 << k) - 1
     assert dominated_vertices(k, core) == []
     # the cone over it, with apex s, collapses to a point
     cone = tuple(f | 1 << s for f in facets)
-    assert _strong_core(s + 1, cone) == (1, (1,))
+    assert strong_core(s + 1, cone) == (1, (1,))
     assert _class_ranks(1, (1,), p) == {}
 
 
@@ -371,7 +454,7 @@ def test_empty_face_complex(p):
     # {empty face} has H~_{-1} = K on any vertex set, the empty one included
     assert homology_ranks(complex_on(0, [0]), FieldSpec(p)) == {-1: 1}
     for s in (0, 1, 3):
-        assert _strong_core(s, (0,)) == (0, (0,))
+        assert strong_core(s, (0,)) == (0, (0,))
         assert _class_ranks(s, (0,), p) == {0: 1}
 
 
@@ -634,7 +717,12 @@ def test_lattice_support_vertices_are_tight_for_a_divisor(J, K):
 
 def assert_classes_match_koszul(I, symmetric):
     rows = lattice_rows(I, symmetric)
-    classes = {r: (s, facets) for r, s, facets in _complex_classes(rows, _dense(I))}
+    classes = {}
+    for index, s, facets in _complex_classes(rows, _dense(I)):
+        assert (facets[:, -1] != _PAD).any()  # cut to the block's most facets
+        for r, k, f in zip(index.tolist(), s.tolist(), facets.tolist()):
+            assert r not in classes
+            classes[r] = (k, tuple(x for x in f if x != _PAD))
     for r, a in enumerate(rows.tolist()):
         koszul = koszul_complex(I, Monomial.from_dense(a, I.ambient))
         if koszul.is_cone:

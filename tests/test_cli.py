@@ -236,8 +236,10 @@ def test_usage_error_exit():
 
 
 def test_composite_char_rejected(squares_file, capsys):
-    rc = main(["betti", squares_file, "--n", "2", "--char", "32004"])
-    assert rc == 1
+    with pytest.raises(SystemExit) as e:
+        main(["betti", squares_file, "--n", "2", "--char", "32004"])
+    assert e.value.code == 2
+    assert "prime" in capsys.readouterr().err
 
 
 def test_betti_huge_exponent_exit(tmp_path, capsys):
@@ -274,8 +276,9 @@ def test_betti_orbit_cap_exit(tmp_path, capsys):
 
 
 def test_invariants_composite_char_rejected(mixed_file, capsys):
-    rc = main(["invariants", mixed_file, "--char", "4"])
-    assert rc == 1
+    with pytest.raises(SystemExit) as e:
+        main(["invariants", mixed_file, "--char", "4"])
+    assert e.value.code == 2
     assert "prime" in capsys.readouterr().err
 
 
@@ -321,6 +324,20 @@ def test_verify_pd_unit_chain_is_na(tmp_path, capsys, extra):
     p.write_text("index 1\ngen 1\n")
     assert main(["verify", str(p), "--check", "pd", *extra]) == 0
     assert capsys.readouterr().out == "NA   pd_linearity (improper seed)\n"
+
+
+@pytest.mark.parametrize("extra", [[], ["--saturation"]], ids=["plain", "saturation"])
+def test_verify_unit_chain_prints_five_na_lines(tmp_path, capsys, extra):
+    p = tmp_path / "unit.chain"
+    p.write_text("index 1\ngen 1\n")
+    assert main(["verify", str(p), *extra]) == 0
+    assert capsys.readouterr().out == (
+        "NA   pd_linearity (improper seed)\n"
+        "NA   reg_slope (improper seed)\n"
+        "NA   betti_propagation (improper seed)\n"
+        "NA   msat_identities (base chain zero over the window)\n"
+        "NA   colon_filtration (improper seed)\n"
+    )
 
 
 class RecordingPool:
@@ -429,9 +446,12 @@ def test_explore_seed_parameters_rejected_before_output(capsys, option, value):
     [["betti", "--n", "0"], ["betti", "--n", "2", "--msat", "0"],
      ["series", "--metric", "pd", "--from", "1", "--to", "3", "--msat", "0"],
      ["verify", "--msat", "0"], ["verify", "--m", "0"], ["verify", "--e", "-1"],
-     ["verify", "--n", "0"]],
+     ["verify", "--n", "0"], ["betti", "--n", "2", "--char", "4"],
+     ["series", "--metric", "pd", "--from", "1", "--to", "3", "--char", "2147483648"],
+     ["verify", "--char", "4"], ["invariants", "--char", "2147483648"]],
     ids=["betti_n", "betti_msat", "series_msat", "verify_msat", "verify_m", "verify_e",
-         "verify_n"],
+         "verify_n", "betti_char_4", "series_char_2_31", "verify_char_4",
+         "invariants_char_2_31"],
 )
 def test_numeric_options_out_of_range_rejected_before_output(squares_file, capsys, argv):
     with pytest.raises(SystemExit) as e:
