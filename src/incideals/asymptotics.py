@@ -445,8 +445,8 @@ def check_msat_identities(
     recursion_widths = []
     for n in range(max(2, r0 + 1), msat.index + horizon + 1):
         prev_base = term(chain, n - 1)
-        if not prev_base.is_proper:
-            continue
+        if not prev_base.is_proper:  # the seed: a proper one keeps every term proper
+            return CheckResult(name, False, True, {"reason": "improper seed"})
         jn = term(msat, n)
         jn1 = term(msat, n - 1)
         recursion_widths.append(n)
@@ -478,7 +478,7 @@ def check_msat_identities(
             failures.append((n, "reg", tj.reg(), expected))
     if not recursion_widths:
         return CheckResult(
-            name, False, True, {"reason": "base chain zero over the window"}
+            name, False, True, {"reason": "empty window"}
         )
     inv_base = chain_invariants(chain)
     jw = term(msat, msat.index).weights()

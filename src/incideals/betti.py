@@ -70,14 +70,20 @@ few rank computations remain.  Cores themselves are not cached across
 walks; within a block each distinct facet set is shrunk once.  Each
 ``cache_info()`` reports hits and misses.
 
-The other cache, `_walk`, keys a `_Walk` by (ideal, lattice_cap) alone
-(up to 256 walks): everything a walk holds but its answers is the same
-in every characteristic.  A walk answers two questions lazily, pd and
-the table, each per p, and builds the lattice, with the lattice cap
-checked, only when one of them needs it; it counts the support of each
-row then, once.  Classifying a point records only the index of its
-strong core among the walk's distinct cores, with Python work once per
-distinct core of a block, not once per point; cones are dropped.  The
+The other cache, `_walk`, keys a `_Walk` by the ideal with its unused
+variables dropped and by lattice_cap alone (up to 256 walks).  Adding a
+variable that no generator uses changes no Betti number, so an ideal,
+its copies in wider rings and its shifts share one walk: `_walk_key`
+relabels the used variables onto 1..k in order and keeps the generator
+order, and `betti_table` scatters the walk's rows into the columns the
+ideal uses, once per (p, variables, width).  Everything a walk holds
+but its answers is the same in every characteristic.  A walk answers two
+questions lazily, pd and the table, each per p, and builds the
+lattice, with the lattice cap checked, only when one of them needs it;
+it counts the support of each row then, once.  Classifying a point
+records only the index of its strong core among the walk's distinct
+cores, with Python work once per distinct core of a block, not once per
+point; cones are dropped.  The
 rows are classified down one support threshold: those of support at
 least the threshold are classified, the rest are not yet.  p enters
 through `_class_ranks`, once per distinct core, and the ranks are
@@ -102,11 +108,26 @@ is all its cone test needs, and after a table pd classifies nothing.
 `pd` and the pd series take the walk; `betti_table` and every caller
 that needs the table anyway (the `betti` CSV, the verify checks, the
 other series metrics) take the table.
+
+Walks also share classified points through restriction.  The lattice
+points with a_j = 0 are exactly the lcm lattice of the generators free
+of x_j, and the upper Koszul complex at such a point sees only those
+generators (Hochster's restriction; Miller-Sturmfels, ch. 1 and 5).
+`_restrictions` indexes the live walks with a built lattice by their
+generator matrix, holding none of them alive.  Before a walk classifies
+the rows of a support band, it looks up the walk of each restriction
+there and takes the strong core of each row of the band with a_j = 0
+that the restriction has classified, found by one `searchsorted` of the
+row keys; a row the restriction dropped was a cone and is dropped here
+too.  Along a chain, where each truncation's restriction to x_n = 0 is
+often the previous one, most points are then classified once for the
+whole chain.
 """
 from __future__ import annotations
 
 import math
 import threading
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -146,9 +167,14 @@ _MAX_EXPONENT = int(np.iinfo(np.int16).max)
 
 
 def _dense(ideal: MonomialIdeal) -> np.ndarray:
-    mat = np.zeros((len(ideal.gens), ideal.ambient), dtype=np.int16)
-    for row, g in enumerate(ideal.gens):
-        for i, e in g.exps:
+    return _exponent_matrix([g.exps for g in ideal.gens], ideal.ambient)
+
+
+def _exponent_matrix(gens, width: int) -> np.ndarray:
+    """One int16 row per generator, given as (index, exponent) pairs."""
+    mat = np.zeros((len(gens), width), dtype=np.int16)
+    for row, exps in enumerate(gens):
+        for i, e in exps:
             if e > _MAX_EXPONENT:
                 raise ValueError(
                     f"exponent {e} of x{i} exceeds {_MAX_EXPONENT}, the largest"
@@ -230,7 +256,7 @@ def _symmetric(gens: np.ndarray) -> bool:
 
 def _lattice_matrix(
     gens: np.ndarray, lattice_cap: int, symmetric: bool
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All exponentwise maxima of nonempty generator subsets, with weights.
 
     Closure under pairwise maximum with single generators reaches every
@@ -242,8 +268,9 @@ def _lattice_matrix(
     generator.  The lattice is one sorted array of row keys: each block
     of joins is located in it by one `searchsorted`, which both tests
     membership and gives the insertion points of the new keys.  Returns the
-    rows in increasing key order, which is lexicographic, and the number of
-    lattice points each stands for (its orbit size, else 1).  The cap counts
+    rows in increasing key order, which is lexicographic, the number of
+    lattice points each stands for (its orbit size, else 1), and the sorted
+    keys themselves, in the encoding of `_row_keys(gens)`.  The cap counts
     the whole lattice, not the rows; it is checked after every block, so it
     trips inside the round that crosses it.
     """
@@ -282,7 +309,7 @@ def _lattice_matrix(
         frontier = np.concatenate(fresh_parts) if fresh_parts else seen[:0]
     rows = decode(seen)
     weights = list(map(_orbit_size, rows.tolist())) if symmetric else np.ones(len(rows))
-    return rows, np.asarray(weights, dtype=np.int64)
+    return rows, np.asarray(weights, dtype=np.int64), seen
 
 
 def lcm_lattice(
@@ -295,7 +322,7 @@ def lcm_lattice(
         raise ImproperIdeal("the lcm lattice needs a nonzero proper ideal")
     if gen_cap is not None and len(ideal.gens) > gen_cap:
         raise CapExceeded("lcm lattice generators", gen_cap, len(ideal.gens))
-    rows, _ = _lattice_matrix(_dense(ideal), lattice_cap, symmetric=False)
+    rows = _lattice_matrix(_dense(ideal), lattice_cap, symmetric=False)[0]
     return frozenset(Monomial.from_dense(row, ideal.ambient) for row in rows)
 
 
@@ -681,53 +708,96 @@ class BettiTable:
         )
 
 
+def _padded(table: BettiTable, variables: tuple[int, ...], width: int) -> BettiTable:
+    """The table of the same ideal in `width` variables, its own moved to
+    x_v for v in `variables`.
+
+    Variables that no generator uses change no Betti number: the
+    multidegrees just gain zero coordinates.  The padded generators are
+    not closed under permuting the variables, so orbits are expanded
+    first.
+    """
+    if len(table.weights) and table.weights.max() > 1:
+        degrees, rows, dims = table.expanded
+    else:
+        degrees, rows, dims = table.degrees, table.rows, table.dims
+    wide = np.zeros((len(rows), width), dtype=np.int16)
+    wide[:, np.subtract(variables, 1)] = rows
+    ones = np.ones(len(rows), dtype=np.int64)
+    return BettiTable(degrees, wide, dims, ones, table.char, width)
+
+
 class _Walk:
     """The lcm lattice of one validated ideal, classified on demand.
 
-    The lattice itself is built on first use, with the lattice cap
-    checked then: a pd certified by a socle witness builds none.  The
-    lattice and its classification are the same in every characteristic;
-    only the tables are kept per characteristic.  The support size of
-    each row is counted once, when the lattice is built.  The rows are
-    classified down one support threshold `_low`: exactly the rows with
-    support at least `_low` are classified, and of those only the
-    non-cones are kept.  Each row gets one entry of `_core`, an index into
-    `_cores`, the distinct strong cores met so far, or -1 while it is not
-    classified.  Each block of `_complex_classes` is shrunk to strong
-    cores by `_strong_cores` over its distinct facet sets, and `_cores`
-    is looked up once per distinct core of the block.  Cores are kept per
-    walk only.  `pd(p)` and `table(p)` lower the threshold only as far as
-    each needs, so every row is classified at most once for all
-    characteristics; p enters only through `_class_ranks` of each
-    distinct core.  A generator set closed under permuting the variables
-    has an invariant Betti table, beta_{i, sigma a} = beta_{i, a}, so the
-    lattice holds one point per orbit.
+    The ideal is given as `_walk_key` gives it, with no unused variable, so
+    ideals that differ only by unused variables share one walk.  The
+    lattice itself is built on first use, with the lattice cap checked
+    then: a pd certified by a socle witness builds none.  The lattice and
+    its classification are the same in every characteristic; only the
+    tables are kept per characteristic.  The support size and the key of
+    each row (in the encoding of `_row_keys`) are kept with it from when
+    the lattice is built.  Each row gets one entry of `_core`, an index
+    into `_cores`, the distinct strong cores met so far, or -1 while it
+    is not classified; classified cones are dropped.  Every row of
+    support at least `_low` is classified; rows of smaller support may
+    be too.  Each block of `_complex_classes` is shrunk to strong cores
+    by `_strong_cores` over its distinct facet sets, and `_cores` is
+    looked up once per distinct core of the block.  `pd(p)` and
+    `table(p)` lower `_low` only as far as each needs, so every row is
+    classified at most once for all characteristics; p enters only
+    through `_class_ranks` of each distinct core.  A generator set closed
+    under permuting the variables has an invariant Betti table,
+    beta_{i, sigma a} = beta_{i, a}, so the lattice holds one point per
+    orbit.
+
+    The rows with a_j = 0 are the lcm lattice of the generators free of
+    x_j, and each carries the same upper Koszul complex there (Hochster's
+    restriction).  Once its lattice is built, a walk is entered in
+    `_restrictions`, and before it classifies rows it reads the cores of
+    such rows off the walk of each restriction found there; see
+    `_read_restrictions`.
     """
 
-    def __init__(self, ideal: MonomialIdeal, lattice_cap: int) -> None:
-        self._gens = _dense(ideal)
+    def __init__(self, gens: tuple, width: int, lattice_cap: int) -> None:
+        self._gens = _exponent_matrix(gens, width)
         self._lattice_cap = lattice_cap
-        self._ambient = ideal.ambient
+        self._ambient = width
         self._certified: bool | None = None  # whether a socle witness exists
+        self._symmetric = False
         self._lattice: np.ndarray | None = None
         self._weights: np.ndarray | None = None
+        self._keys: np.ndarray | None = None  # per row: its key, ascending
+        self._encode = None  # rows to keys
         self._supp: np.ndarray | None = None  # per row: its support size
         self._core: np.ndarray | None = None  # per row: -1 or a core index
-        self._low = ideal.ambient + 1  # the least support classified
+        self._low = width + 1  # every row of support at least this is classified
         self._cores: dict[tuple[int, tuple[int, ...]], int] = {}  # core -> index
-        self._tables: dict[int, BettiTable] = {}
+        self._tables: dict = {}  # p, or (p, variables, width) when padded
         self._lock = threading.Lock()
+
+    def _keep(self, rows: np.ndarray) -> None:
+        self._lattice = self._lattice[rows]
+        self._weights = self._weights[rows]
+        self._keys = self._keys[rows]
+        self._supp = self._supp[rows]
+        self._core = self._core[rows]
 
     def _classify(self, low: int) -> None:
         """Classify every row of support at least `low`, building the
-        lattice on the first call, and drop the cones among them."""
+        lattice on the first call, and drop the cones among them; rows
+        that walks of restrictions have classified are read from them."""
         if self._lattice is None:
-            self._lattice, self._weights = _lattice_matrix(
-                self._gens, self._lattice_cap, _symmetric(self._gens)
+            self._symmetric = _symmetric(self._gens)
+            self._lattice, self._weights, self._keys = _lattice_matrix(
+                self._gens, self._lattice_cap, self._symmetric
             )
+            self._encode = _row_keys(self._gens)[0]
             self._supp = np.count_nonzero(self._lattice, axis=1)
             self._core = np.full(len(self._lattice), -1, dtype=np.int64)
-        band = np.flatnonzero((low <= self._supp) & (self._supp < self._low))
+            _restrictions[self._gens.shape, self._gens.tobytes()] = self
+        self._read_restrictions(low)
+        band = np.flatnonzero((self._supp >= low) & (self._core < 0))
         self._low = min(low, self._low)
         if not len(band):
             return
@@ -743,11 +813,65 @@ class _Walk:
                 for row, size in zip(distinct.tolist(), sizes.tolist())
             ]
             self._core[band[index]] = np.array(ids)[of_core[of_class]]
-        keep = (self._core >= 0) | (self._supp < low)
-        self._lattice = self._lattice[keep]
-        self._weights = self._weights[keep]
-        self._supp = self._supp[keep]
-        self._core = self._core[keep]
+        self._keep((self._core >= 0) | (self._supp < low))
+
+    def _read_restrictions(self, low: int) -> None:
+        """Classify the rows of support at least `low` with a zero
+        coordinate from the walks of the restrictions, where those have
+        classified them.
+
+        A row has a zero coordinate exactly when its support is below the
+        width.  For each column j, the generators free of x_j, their
+        unused columns dropped, key the walk of that restriction in
+        `_restrictions`.  Its rows are the rows here with a_j = 0, the
+        same columns dropped (sorted descending when it is symmetric), and
+        it has classified all those of support at least its `_low`.  Those
+        rows here are found in its sorted keys by one `searchsorted`: a row
+        found takes its core, and a row absent was a cone there and is
+        dropped.  Python runs once per distinct core read, not per row.
+        The restriction has fewer generators than this walk, so its lock,
+        taken inside this walk's, is always the later in that order.
+        """
+        pending = np.flatnonzero(
+            (self._supp >= low) & (self._supp < self._ambient) & (self._core < 0)
+        )
+        gone = []
+        # a row of a symmetric walk sorts descending, so a zero coordinate
+        # shows in the last column: from there one restriction reads them all
+        for j in reversed(range(self._ambient)):
+            if not len(pending):
+                break
+            sub = self._gens[self._gens[:, j] == 0]
+            used = sub.any(axis=0)
+            sub = sub[:, used]
+            other = _restrictions.get((sub.shape, sub.tobytes()))
+            if other is None:
+                continue
+            with other._lock:
+                read = (self._lattice[pending, j] == 0) & (self._supp[pending] >= other._low)
+                rows = pending[read]
+                if not len(rows):
+                    continue
+                points = self._lattice[rows][:, used]
+                if other._symmetric:
+                    points = np.sort(points, axis=1)[:, ::-1]
+                keys = other._encode(points)
+                at = np.searchsorted(other._keys, keys)
+                found = other._keys[np.minimum(at, len(other._keys) - 1)] == keys
+                theirs = other._core[at[found]]
+                hit = np.flatnonzero(np.bincount(theirs))
+                cores = list(other._cores)
+                ids = np.zeros(len(cores), dtype=np.int64)
+                ids[hit] = [
+                    self._cores.setdefault(cores[c], len(self._cores)) for c in hit.tolist()
+                ]
+            self._core[rows[found]] = ids[theirs]
+            gone.append(rows[~found])
+            pending = pending[~read]
+        if gone:
+            keep = np.ones(len(self._lattice), dtype=bool)
+            keep[np.concatenate(gone)] = False
+            self._keep(keep)
 
     def _best(self, low: int, p: int) -> int:
         """The largest degree of a Betti number over GF(p) at the rows of
@@ -784,46 +908,77 @@ class _Walk:
                 best = self._best(best + 2, p)
             return best
 
-    def table(self, p: int) -> BettiTable:
-        """Every Betti number over GF(p), the ranks of each distinct core
-        scattered onto its rows."""
+    def table(self, p: int, variables: list[int], width: int) -> BettiTable:
+        """Every Betti number over GF(p), of the ideal with its variables
+        moved to x_v for v in `variables`, in `width` variables.  Each
+        table is built once and kept."""
         with self._lock:
-            if p in self._tables:
+            if p not in self._tables:
+                self._tables[p] = self._assemble(p)
+            if width == self._ambient:
                 return self._tables[p]
-            self._classify(0)
-            ranks = [_class_ranks(*core, p) for core in self._cores]
-            counts = np.array([len(r) for r in ranks], dtype=np.int64)
-            degrees = np.array([i for r in ranks for i in r], dtype=np.int64)
-            dims = np.array([h for r in ranks for h in r.values()], dtype=np.int64)
-            # a row with core c takes the run degrees[start[c] : start[c] + counts[c]]
-            start = np.cumsum(counts) - counts
-            per_row = counts[self._core]
-            row = np.repeat(np.arange(len(per_row)), per_row)
-            within = np.arange(len(row)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
-            flat = np.repeat(start[self._core], per_row) + within
-            table = self._tables[p] = BettiTable(
-                degrees[flat],
-                self._lattice[row],
-                dims[flat],
-                self._weights[row],
-                p,
-                self._ambient,
-            )
-            return table
+            key = (p, tuple(variables), width)
+            if key not in self._tables:
+                self._tables[key] = _padded(self._tables[p], key[1], width)
+            return self._tables[key]
+
+    def _assemble(self, p: int) -> BettiTable:
+        """The table over GF(p), the ranks of each distinct core scattered
+        onto its rows."""
+        self._classify(0)
+        ranks = [_class_ranks(*core, p) for core in self._cores]
+        counts = np.array([len(r) for r in ranks], dtype=np.int64)
+        degrees = np.array([i for r in ranks for i in r], dtype=np.int64)
+        dims = np.array([h for r in ranks for h in r.values()], dtype=np.int64)
+        # a row with core c takes the run degrees[start[c] : start[c] + counts[c]]
+        start = np.cumsum(counts) - counts
+        per_row = counts[self._core]
+        row = np.repeat(np.arange(len(per_row)), per_row)
+        within = np.arange(len(row)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+        flat = np.repeat(start[self._core], per_row) + within
+        return BettiTable(
+            degrees[flat],
+            self._lattice[row],
+            dims[flat],
+            self._weights[row],
+            p,
+            self._ambient,
+        )
 
 
 _walk = lru_cache(maxsize=256)(_Walk)
+# the walks with a built lattice, by generator matrix: an index of `_walk`
+# that holds none of them alive
+_restrictions: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _walk_key(ideal: MonomialIdeal) -> tuple[tuple, list[int]]:
+    """The ideal with its unused variables dropped, and the variables used.
+
+    Returns the generators as (index, exponent) pairs, with the k used
+    variables relabelled onto 1..k in order, and the indices of those
+    variables.  Generators keep their order.  Only the relabelling, when
+    a variable below the last used one is unused, builds new pairs.
+    """
+    gens = tuple([g.exps for g in ideal.gens])
+    used = sorted({i for exps in gens for i, _ in exps})
+    if used[-1] != len(used):
+        rank = {v: i for i, v in enumerate(used, 1)}
+        gens = tuple(tuple((rank[i], e) for i, e in exps) for exps in gens)
+    return gens, used
 
 
 def _checked_walk(
     ideal: MonomialIdeal, gen_cap: int | None, lattice_cap: int
-) -> _Walk:
-    """The walk of a proper ideal, after the width and generator caps."""
+) -> tuple[_Walk, list[int]]:
+    """The walk of a proper ideal, after the width and generator caps,
+    and the variables the ideal uses."""
     if ideal.ambient > _MAX_AMBIENT:
         raise CapExceeded("ambient width", _MAX_AMBIENT, ideal.ambient)
     if gen_cap is not None and len(ideal.gens) > gen_cap:
         raise CapExceeded("betti generators", gen_cap, len(ideal.gens))
-    return _walk(ideal, lattice_cap)
+    gens, used = _walk_key(ideal)
+    return _walk(gens, len(used), lattice_cap), used
 
 
 def betti_table(
@@ -844,7 +999,8 @@ def betti_table(
         zero, one = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
         origin = np.zeros((1, ideal.ambient), dtype=np.int16)
         return BettiTable(zero, origin, one, one, field.p, ideal.ambient)
-    return _checked_walk(ideal, gen_cap, lattice_cap).table(field.p)
+    walk, used = _checked_walk(ideal, gen_cap, lattice_cap)
+    return walk.table(field.p, used, ideal.ambient)
 
 
 def pd(
@@ -860,7 +1016,7 @@ def pd(
     """
     if not ideal.is_proper:
         raise ImproperIdeal("pd needs a nonzero proper ideal")
-    return _checked_walk(ideal, gen_cap, lattice_cap).pd(field.p)
+    return _checked_walk(ideal, gen_cap, lattice_cap)[0].pd(field.p)
 
 
 def reg(

@@ -138,8 +138,9 @@ def test_check_pd_linearity_na_on_the_unit_chain(saturate):
 @pytest.mark.parametrize(
     "check",
     [lambda chain: check_reg_slope(chain, horizon=4),
-     lambda chain: check_betti_propagation(chain, chain.index + 1)],
-    ids=["reg_slope", "betti_propagation"],
+     lambda chain: check_betti_propagation(chain, chain.index + 1),
+     lambda chain: check_msat_identities(chain, 2, horizon=2)],
+    ids=["reg_slope", "betti_propagation", "msat_identities"],
 )
 def test_chain_invariant_checks_na_on_the_unit_chain(saturate, check):
     # the chain invariants need a proper seed term; the unit chain has none

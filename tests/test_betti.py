@@ -3,6 +3,8 @@ import itertools
 import math
 import operator
 import random
+import sys
+import threading
 from math import comb
 
 import numpy as np
@@ -53,6 +55,7 @@ from incideals.betti import (
     _strong_cores,
     _symmetric,
     _walk,
+    _walk_key,
 )
 import incideals.betti as betti_module
 from incideals.simplicial import face_closure
@@ -532,7 +535,7 @@ def assert_orbit_route_exact(J, field):
     gens = _dense(J)
     assert _symmetric(gens)
     lattice = lcm_lattice(J, gen_cap=None)
-    rows, weights = _lattice_matrix(gens, DEFAULT_LATTICE_CAP, symmetric=True)
+    rows, weights, _ = _lattice_matrix(gens, DEFAULT_LATTICE_CAP, symmetric=True)
     assert int(weights.sum()) == len(lattice)
     assert all(list(r) == sorted(r, reverse=True) for r in rows.tolist())
     ref = {}
@@ -638,7 +641,8 @@ def test_lattice_matrix_matches_subset_enumeration(J):
     gens = _dense(J)
     assume(len(gens) <= 16)  # 2^gens subsets
     symmetric = _symmetric(gens)
-    rows, weights = _lattice_matrix(gens, DEFAULT_LATTICE_CAP, symmetric)
+    rows, weights, keys = _lattice_matrix(gens, DEFAULT_LATTICE_CAP, symmetric)
+    assert np.array_equal(keys, _row_keys(gens)[0](rows))
     listed = rows.tolist()
     assert all(a < b for a, b in zip(listed, listed[1:])), J  # lexicographic
     points = []
@@ -654,7 +658,7 @@ def test_lattice_cap_counts_every_point_of_a_symmetric_term():
     # width 6: 701 lattice points in 24 orbits, so only the full count trips
     chain = sym_chain()
     J = term(chain, 6)
-    rows, _ = _lattice_matrix(_dense(J), DEFAULT_LATTICE_CAP, symmetric=True)
+    rows = _lattice_matrix(_dense(J), DEFAULT_LATTICE_CAP, symmetric=True)[0]
     assert len(rows) == 24 and len(lcm_lattice(J, gen_cap=None)) == 701
     with pytest.raises(CapExceeded) as exc:
         betti_table(J, gen_cap=None, lattice_cap=700)
@@ -807,12 +811,17 @@ def complete_intersection_in_six():
     )
 
 
+def walk_of(J):
+    gens, used = _walk_key(J)
+    return _walk(gens, len(used), DEFAULT_LATTICE_CAP)
+
+
 def test_pd_walk_stops_at_the_top_band():
     # 31 lattice points, one of support 6, of degree 4; no cone among them
     J = complete_intersection_in_six()
     _walk.cache_clear()
     assert pd(J) == 4
-    walk = _walk(J, DEFAULT_LATTICE_CAP)
+    walk = walk_of(J)
     assert walk._low == 6
     assert int((walk._core >= 0).sum()) == 1 < len(walk._core) == 31
     assert betti_table(J).pd() == 4
@@ -820,7 +829,7 @@ def test_pd_walk_stops_at_the_top_band():
     assert len(walk._lattice) == len(walk._weights) == 31
     # the top band of this lattice is one cone, which the table releases
     K = ideal([[(1, 2), (4, 1)], [(3, 1), (4, 2)], [(1, 3), (2, 1)]], 4)
-    walk = _walk(K, DEFAULT_LATTICE_CAP)
+    walk = walk_of(K)
     assert betti_table(K).pd() == pd(K)
     points = len(lcm_lattice(K))
     assert len(walk._lattice) == len(walk._weights) == len(walk._core) == points - 1
@@ -834,7 +843,7 @@ def test_certified_pd_builds_no_lattice():
     )
     _walk.cache_clear()
     assert pd(J) == 5 and pd(J, FieldSpec(2)) == 5
-    walk = _walk(J, DEFAULT_LATTICE_CAP)
+    walk = walk_of(J)
     assert walk._lattice is None and walk._core is None
     assert betti_table(J).pd() == 5
     # with the lattice built, pd walks the bands of the non-cone rows
@@ -858,9 +867,9 @@ def assert_walk_shared(J, chars, pd_first):
     lattice_matrix, complex_classes = betti_module._lattice_matrix, betti_module._complex_classes
 
     def counted_lattice(*args):
-        rows, weights = lattice_matrix(*args)
+        rows, weights, keys = lattice_matrix(*args)
         built.append(len(rows))
-        return rows, weights
+        return rows, weights, keys
 
     def counted_classes(points, gens):
         classified.extend(map(tuple, points.tolist()))
@@ -953,6 +962,199 @@ def test_certified_pd_passes_the_lattice_cap():
         betti_table(squares(5), lattice_cap=10)
     with pytest.raises(CapExceeded):  # the width and generator caps come first
         pd(squares(21), lattice_cap=10)
+
+
+# -- one walk up to unused variables, and cores read from restrictions ---------
+
+def widened(J, shift=0, extra=1):
+    """J in `extra` more variables, its own moved up by `shift`."""
+    n = J.ambient + extra
+    return MonomialIdeal.from_gens(
+        tuple(Monomial.from_pairs([(i + shift, e) for i, e in g.exps], n) for g in J.gens), n
+    )
+
+
+def restrictions(J):
+    """For each variable x_j with some generator free of it, those
+    generators, in the width of J."""
+    out = []
+    for j in range(1, J.ambient + 1):
+        free = tuple(g for g in J.gens if not g.exponent(j))
+        if free:
+            out.append(MonomialIdeal.from_gens(free, J.ambient))
+    return out
+
+
+def uncompressed_table(J, p):
+    """The table from a walk of J as given, unused variables and all."""
+    _walk.cache_clear()
+    walk = betti_module._Walk(tuple(g.exps for g in J.gens), J.ambient, DEFAULT_LATTICE_CAP)
+    return walk.table(p, list(range(1, J.ambient + 1)), J.ambient)
+
+
+@settings(max_examples=100)
+@given(st.one_of(small_ideals(), symmetric_ideals(), chain_terms()), st.data())
+def test_walks_warmed_by_restrictions_and_padding_match_cold(J, data):
+    fields = {p: FieldSpec(p) for p in (2, 32003)}
+    copies = [widened(J), widened(J, shift=1)]
+    cold = {}
+    for p, field in fields.items():
+        _walk.cache_clear()
+        cold[p] = betti_table(J, field, gen_cap=None)
+        cold[p, 1] = uncompressed_table(copies[1], p)
+    _walk.cache_clear()
+    for K in data.draw(st.permutations(restrictions(J) + copies)):
+        field = fields[data.draw(st.sampled_from(sorted(fields)))]
+        if data.draw(st.booleans()):
+            pd(K, field, gen_cap=None)
+        else:
+            betti_table(K, field, gen_cap=None)
+    for p, field in fields.items():
+        assert_same_table(betti_table(J, field, gen_cap=None), cold[p])
+        assert pd(J, field, gen_cap=None) == cold[p].pd()
+        assert_same_table(betti_table(copies[1], field, gen_cap=None), cold[p, 1])
+        assert pd(copies[1], field, gen_cap=None) == cold[p].pd()
+
+
+def restriction_low(J, j):
+    """The support from which the walk of J's restriction to x_j = 0 has
+    classified its rows; above every support when it has no lattice."""
+    free = tuple(g for g in J.gens if not g.exponent(j))
+    walk = walk_of(MonomialIdeal.from_gens(free, J.ambient)) if free else None
+    return J.ambient + 1 if walk is None or walk._lattice is None else walk._low
+
+
+@pytest.mark.parametrize("warm", ["table", "pd"])
+@pytest.mark.parametrize(
+    "J",
+    [rp2_stanley_reisner(), complete_intersection_in_six(),
+     term(SaturationChain(corpus_chain(1014)), 7), term(sym_chain(), 5)],
+    ids=["rp2", "complete_intersection", "chain_1014", "sym_chain"],
+)
+def test_rows_read_from_restrictions_are_not_classified_again(J, warm):
+    # a row with a_j = 0 is classified here only below the support from
+    # which the walk of the restriction has classified its own; after a
+    # table there, never
+    _walk.cache_clear()
+    cold = betti_table(J, gen_cap=None)
+    _walk.cache_clear()
+    for R in restrictions(J):
+        (betti_table if warm == "table" else pd)(R, gen_cap=None)
+    low = [restriction_low(J, j) for j in range(1, J.ambient + 1)]
+    if warm == "table":
+        assert set(low) <= {0, J.ambient + 1}
+    classified = []
+    complex_classes = betti_module._complex_classes
+
+    def counted(points, gens):
+        classified.append(points)
+        return complex_classes(points, gens)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(betti_module, "_complex_classes", counted)
+        assert_same_table(betti_table(J, gen_cap=None), cold)
+        assert pd(J, gen_cap=None) == cold.pd()
+    for points in classified:
+        support = np.count_nonzero(points, axis=1)
+        for j, below in enumerate(low):
+            assert (support[points[:, j] == 0] < below).all(), (J, j)
+    assert len(betti_module._restrictions) > 0
+    _walk.cache_clear()
+    assert len(betti_module._restrictions) == 0
+
+
+@pytest.mark.parametrize("shift", [0, 1, 2], ids=["last", "first", "middle"])
+def test_padded_symmetric_ideal_matches_the_uncompressed_walk(shift):
+    # <x1^2, x2^2, x3^2> is closed under permuting the variables; in width 4
+    # it is not, so the orbits of its walk are expanded before padding
+    if shift == 2:
+        P = ideal([[(1, 2)], [(2, 2)], [(4, 2)]], 4)
+    else:
+        P = widened(squares(3), shift=shift)
+    for p in (2, 32003):
+        cold = uncompressed_table(P, p)
+        _walk.cache_clear()
+        betti_table(squares(3), FieldSpec(p))  # the walk P shares
+        T = betti_table(P, FieldSpec(p))
+        assert_same_table(T, cold)
+        assert T.entries == cold.entries
+        assert T.ambient == 4 and T.weights.tolist() == [1] * len(T.weights)
+    assert {(i, a): v for i, a, v in T.entries} == koszul_reference(P, FieldSpec(32003))
+
+
+def test_repeated_betti_table_calls_return_one_table():
+    J = squares(3)
+    _walk.cache_clear()
+    T = betti_table(J)
+    P, Q = widened(J), widened(J, shift=1)
+    assert betti_table(J) is T
+    assert betti_table(P) is betti_table(P) is not T
+    assert betti_table(Q) is betti_table(Q) is not betti_table(P)
+    assert betti_table(J, FieldSpec(2)) is not T
+    assert _walk.cache_info().currsize == 1  # one walk for J and its copies
+    assert pd(P) == pd(Q) == T.pd() == 2
+
+
+def test_caps_are_checked_on_the_ideal_as_given():
+    # 21 generators in 31 variables: the generator cap, not the width
+    with pytest.raises(CapExceeded) as exc:
+        betti_table(widened(squares(21), shift=5, extra=10))
+    assert (exc.value.what, exc.value.actual) == ("betti generators", 21)
+    # one variable used of 63: the width cap, for pd and the table alike
+    for fn in (pd, betti_table):
+        with pytest.raises(CapExceeded) as exc:
+            fn(ideal([[(63, 1)]], 63), gen_cap=None)
+        assert (exc.value.what, exc.value.actual) == ("ambient width", 63)
+    J = ideal([[(62, 1)]], 62)
+    assert pd(J) == 0
+    degrees, rows, dims = betti_table(J).expanded
+    assert rows.shape == (1, 62) and rows[0, 61] == 1 and rows.sum() == 1
+
+
+def test_lcm_lattice_of_padded_ideals():
+    for J in (squares(3), term(SaturationChain(corpus_chain(1014)), 5)):
+        for P in (widened(J), widened(J, shift=1, extra=2)):
+            assert lcm_lattice(P, gen_cap=None) == subset_lcms(P), P
+
+
+def test_threads_reading_restrictions_match_cold_tables():
+    # each walk reads its restrictions under their locks, inside its own:
+    # threads walking a chain in opposite orders neither deadlock nor mix rows
+    chain = SaturationChain(corpus_chain(1017))
+    ideals = [term(chain, n) for n in range(3, 8)]
+    ideals += [widened(J, shift=1) for J in ideals]
+    cold = {}
+    for J in ideals:
+        _walk.cache_clear()
+        cold[J] = betti_table(J, gen_cap=None)
+    _walk.cache_clear()
+    got = [[] for _ in range(4)]
+    errors = []
+
+    def work(k):
+        try:
+            for J in ideals[:: 1 if k % 2 else -1]:
+                got[k].append((J, betti_table(J, gen_cap=None), pd(J, gen_cap=None)))
+        except Exception as exc:  # reported below, not lost in the thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    for done in got:
+        assert len(done) == len(ideals)
+        for J, T, d in done:
+            assert_same_table(T, cold[J])
+            assert d == cold[J].pd()
 
 
 # -- the depth-zero certificate -----------------------------------------------

@@ -335,7 +335,7 @@ def test_verify_unit_chain_prints_five_na_lines(tmp_path, capsys, extra):
         "NA   pd_linearity (improper seed)\n"
         "NA   reg_slope (improper seed)\n"
         "NA   betti_propagation (improper seed)\n"
-        "NA   msat_identities (base chain zero over the window)\n"
+        "NA   msat_identities (improper seed)\n"
         "NA   colon_filtration (improper seed)\n"
     )
 
@@ -496,7 +496,7 @@ EXPLORE_HEADER = "seed,r,gens,w,lambda,q,pd_slope,pd_onset,reg_slope,reg_onset,s
             ["--count", "4", "--seed", "3", "--horizon", "4", "--lattice-cap", "50"],
             "3,3,2,1,1,9,1,3,0,3,partial\n"
             "4,3,1,1,1,2,1,3,0,3,ok\n"
-            "5,3,2,1,1,4,,,,,partial\n"
+            "5,3,2,1,1,4,1,3,,,partial\n"
             "6,3,2,1,1,15,,,,,partial\n",
         ),
     ],
