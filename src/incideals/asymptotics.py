@@ -8,12 +8,9 @@ individually reportable checks.
 """
 from __future__ import annotations
 
-import os
 import random
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -136,15 +133,6 @@ class SeriesReport:
     truncated: str | None = None
 
 
-def _series_point(args) -> tuple[int, int | None, str | None]:
-    chain, n, metric, field, gen_cap, lattice_cap = args
-    try:
-        value = _metric_value(term(chain, n), metric, field, gen_cap, lattice_cap)
-    except CapExceeded as exc:
-        return n, None, str(exc)
-    return n, value, None
-
-
 def series(
     chain: Chain,
     metric: str,
@@ -154,16 +142,14 @@ def series(
     gen_cap: int | None = None,
     lattice_cap: int = DEFAULT_LATTICE_CAP,
     budget: float | None = None,
-    jobs: int = 1,
 ) -> SeriesReport:
     """Sample a metric over widths [n_from, n_to] and fit the linear tail.
 
     A CapExceeded at some width truncates the series there; the report
     keeps the earlier values and records the reason.  With a budget, the
     series also stops after the first term whose computation alone took
-    longer than `budget` seconds.  jobs > 1 computes terms in parallel, in
-    at most one worker per width and per CPU (budget is then ignored: wall
-    time per term is no longer meaningful).
+    longer than `budget` seconds.  The widths run in order, so each one can
+    read the rows it shares with the previous width from that width's walk.
     """
     if metric not in SERIES_METRICS:
         raise ValueError(f"unknown metric {metric!r}")
@@ -171,31 +157,20 @@ def series(
         raise ValueError(
             f"need index <= n_from <= n_to, got {chain.index}, {n_from}, {n_to}"
         )
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     values: list[tuple[int, int]] = []
     truncated: str | None = None
-    widths = range(n_from, n_to + 1)
-    jobs = min(jobs, len(widths), os.cpu_count() or 1)
-    work = [(chain, n, metric, field, gen_cap, lattice_cap) for n in widths]
-    with ExitStack() as stack:
-        if jobs > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
-            points = pool.map(_series_point, work)
-            budget = None
-        else:
-            points = map(_series_point, work)  # lazy: each width is timed alone
+    for n in range(n_from, n_to + 1):
         t0 = time.perf_counter()
-        for n, value, fail in points:
-            if fail is not None:
-                truncated = fail
-                break
-            values.append((n, value))
-            if budget is not None and time.perf_counter() - t0 > budget:
-                if n < n_to:
-                    truncated = f"budget: width {n} took over {budget:g}s"
-                break
-            t0 = time.perf_counter()
+        try:
+            value = _metric_value(term(chain, n), metric, field, gen_cap, lattice_cap)
+        except CapExceeded as exc:
+            truncated = str(exc)
+            break
+        values.append((n, value))
+        if budget is not None and time.perf_counter() - t0 > budget:
+            if n < n_to:
+                truncated = f"budget: width {n} took over {budget:g}s"
+            break
     fit = detect_linear(values) if len(values) >= 2 else None
     status = "linear" if fit is not None else "undetermined"
     return SeriesReport(
@@ -438,6 +413,8 @@ def check_msat_identities(
     absent while J_{n-1} is zero), lambda(J) = m, w(J) = max(m, w(I)),
     and m >= w(I) forces lambda-maximality.
     """
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
     name = "msat_identities"
     msat = m_saturation(chain, m)
     r0 = chain.index
@@ -476,10 +453,6 @@ def check_msat_identities(
             expected = max(expected, tj1.reg() + m - 1)
         if tj.reg() != expected:
             failures.append((n, "reg", tj.reg(), expected))
-    if not recursion_widths:
-        return CheckResult(
-            name, False, True, {"reason": "empty window"}
-        )
     inv_base = chain_invariants(chain)
     jw = term(msat, msat.index).weights()
     if jw.lambda_ != m:

@@ -173,7 +173,6 @@ def cmd_series(args: argparse.Namespace) -> int:
         gen_cap=args.gen_cap,
         lattice_cap=args.lattice_cap,
         budget=args.budget,
-        jobs=args.jobs,
     )
     print("n,value")
     for n, v in report.values:
@@ -263,7 +262,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
                 gen_cap=args.gen_cap,
                 lattice_cap=args.lattice_cap,
                 budget=args.budget,
-                jobs=args.jobs,
             )
             truncated |= rep.truncated is not None
             undetermined |= rep.fit is None
@@ -301,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_series.add_argument("--from", dest="start", type=int, required=True)
     p_series.add_argument("--to", dest="end", type=int, required=True)
     p_series.add_argument("--budget", type=_seconds, default=None, metavar="SECONDS")
-    p_series.add_argument("--jobs", type=_positive_int, default=1)
     _add_field_options(p_series)
     p_series.set_defaults(func=cmd_series)
 
@@ -329,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_explore.add_argument("--seed", type=int, default=0)
     p_explore.add_argument("--horizon", type=_nonnegative_int, default=6)
     p_explore.add_argument("--budget", type=_seconds, default=None, metavar="SECONDS")
-    p_explore.add_argument("--jobs", type=_positive_int, default=1)
     _add_field_options(p_explore)
     p_explore.set_defaults(func=cmd_explore)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import incideals.asymptotics as asymptotics
+import incideals.betti as betti_module
 from incideals import (
     BettiTable,
     CapExceeded,
@@ -23,6 +24,7 @@ from incideals import (
     series,
     term,
 )
+from incideals.betti import _walk
 from conftest import ideal
 
 
@@ -86,14 +88,29 @@ def test_series_window_validation(squares_chain):
         series(squares_chain, "pd", 0, 3)
     with pytest.raises(ValueError):
         series(squares_chain, "nope", 1, 3)
-    with pytest.raises(ValueError):
-        series(squares_chain, "pd", 1, 3, jobs=0)
 
 
-def test_series_parallel_matches_serial(mixed_squares_chain):
-    a = series(mixed_squares_chain, "reg", 3, 6)
-    b = series(mixed_squares_chain, "reg", 3, 6, jobs=2)
-    assert a.values == b.values and a.fit == b.fit
+def test_series_reads_the_previous_width_from_its_walk(monkeypatch):
+    # the rows of I_n with a_n = 0 are the lcm lattice of I_{n-1}: the
+    # widths run in order in one process, so they are read from the walk
+    # of I_{n-1} and never classified again
+    seed = ideal([[(1, 1), (2, 1), (3, 1)], [(2, 2)]], 3)  # corpus chain 1014
+    chain = saturation(OrbitChain(seed=seed, index=3))
+    classified = {}
+    complex_classes = betti_module._complex_classes
+
+    def counted(points, gens):
+        classified.setdefault(points.shape[1], []).append(points)
+        return complex_classes(points, gens)
+
+    _walk.cache_clear()
+    monkeypatch.setattr(betti_module, "_complex_classes", counted)
+    rep = series(chain, "reg", 5, 9)
+    assert [n for n, _ in rep.values] == [5, 6, 7, 8, 9]
+    assert sorted(classified) == [5, 6, 7, 8, 9]  # each term uses all its variables
+    for n in range(6, 10):
+        points = np.concatenate(classified[n])
+        assert (points[:, -1] != 0).all(), n
 
 
 def test_random_chain_determinism():
@@ -166,9 +183,16 @@ def test_check_reg_slope(squares_chain, mixed_squares_chain):
     assert "increments" in res2.details
 
 
-def test_check_reg_slope_rejects_an_empty_window(squares_chain):
+def test_check_reg_slope_rejects_an_empty_window(squares_chain, monkeypatch):
     with pytest.raises(ValueError, match="horizon must be at least 1"):
         check_reg_slope(squares_chain, horizon=0)
+
+    def no_terms(*args):
+        raise AssertionError("a term was built before the horizon was checked")
+
+    monkeypatch.setattr(asymptotics, "term", no_terms)
+    with pytest.raises(ValueError, match="horizon must be at least 1"):
+        check_msat_identities(squares_chain, 2, horizon=0)
 
 
 def test_check_betti_propagation(squares_chain, mixed_squares_chain):

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 import incideals
-import incideals.cli as cli
 from incideals.cli import main
 
 MIXED = "index 3\ngen x1^2\ngen x2^2*x3\ngen x3^2\n"
@@ -340,41 +339,6 @@ def test_verify_unit_chain_prints_five_na_lines(tmp_path, capsys, extra):
     )
 
 
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records the worker count, runs inline."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers):
-        RecordingPool.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-def test_jobs_clamped_to_widths_and_cpus(squares_file, monkeypatch, capsys):
-    import incideals.asymptotics as asymptotics
-
-    RecordingPool.sizes = []
-    monkeypatch.setattr(asymptotics, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(asymptotics.os, "cpu_count", lambda: 4)
-    series_argv = ["series", squares_file, "--metric", "pd", "--from", "1", "--to"]
-    assert main(series_argv + ["3", "--jobs", "1000000"]) == 0
-    assert main(series_argv + ["9", "--jobs", "1000000"]) == 0
-    explore_argv = ["explore", "--count", "1", "--index", "2", "--gens", "2",
-                    "--max-exponent", "2", "--max-degree", "3", "--seed", "11",
-                    "--horizon", "5", "--jobs", "1000000"]
-    assert main(explore_argv) == 0
-    assert RecordingPool.sizes == [3, 4, 4, 4]
-    capsys.readouterr()
-
-
 def _short_run(command, chainfile):
     return {
         "betti": ["betti", chainfile, "--n", "2"],
@@ -385,10 +349,12 @@ def _short_run(command, chainfile):
 
 
 @pytest.mark.parametrize("command", ["series", "explore"])
-def test_jobs_below_one_rejected(squares_file, command):
+def test_jobs_option_rejected(squares_file, capsys, command):
+    # widths run in order in one process: there is no worker count to set
     with pytest.raises(SystemExit) as e:
-        main(_short_run(command, squares_file) + ["--jobs", "0"])
+        main(_short_run(command, squares_file) + ["--jobs", "2"])
     assert e.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("command", ["series", "explore"])
@@ -530,19 +496,3 @@ def test_betti_after_a_usage_error_matches_a_fresh_process(mixed_file, capsys):
         check=True,
     )
     assert capsys.readouterr().out == fresh.stdout
-
-
-def test_series_jobs_default_after_a_parallel_call(squares_file, monkeypatch, capsys):
-    jobs = []
-    series = cli.series
-
-    def recording(*args, **kwargs):
-        jobs.append(kwargs["jobs"])
-        return series(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "series", recording)
-    argv = ["series", squares_file, "--metric", "pd", "--from", "1", "--to", "3"]
-    assert main(argv + ["--jobs", "2"]) == 0
-    assert main(argv) == 0
-    assert jobs == [2, 1]
-    capsys.readouterr()
