@@ -274,7 +274,7 @@ def check_pd_linearity(
         t = term(chain, n)
         if not t.is_proper:  # the seed; a chain with a proper seed stays proper
             return CheckResult(name, False, True, {"reason": "improper seed"})
-        pts.append((n, betti_table(t, field, gen_cap, lattice_cap).pd()))
+        pts.append((n, _metric_value(t, "pd", field, gen_cap, lattice_cap)))
     increments_ok = all(b >= a + 1 for (_, a), (_, b) in zip(pts, pts[1:]))
     bound_ok = all(v <= n - 1 for n, v in pts)
     fit = detect_linear(pts) if len(pts) >= 2 else None
@@ -316,10 +316,10 @@ def check_reg_slope(
     except ImproperIdeal:  # the seed term is the unit ideal, and so every term
         return CheckResult(name, False, True, {"reason": "improper seed"})
     w = inv.w
-    pts = []
-    for n in range(r, r + horizon + 1):
-        t = term(chain, n)
-        pts.append((n, betti_table(t, field, gen_cap, lattice_cap).reg()))
+    pts = [
+        (n, _metric_value(term(chain, n), "reg", field, gen_cap, lattice_cap))
+        for n in range(r, r + horizon + 1)
+    ]
     increments = [b - a for (_, a), (_, b) in zip(pts, pts[1:])]
     tail = increments[-4:] if len(increments) >= 4 else increments
     ratios = [abs(Fraction(v, n) - (w - 1)) for n, v in pts[-4:]]

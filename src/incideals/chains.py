@@ -48,12 +48,15 @@ __all__ = [
     "colon_filtration_term",
     "ORBIT_CAP",
     "HORIZON_CAP",
+    "WINDOW_CAP",
 ]
 
 #: Most placements or distinct images an orbit enumeration may build.
 ORBIT_CAP = 10**6
 #: Widest window of widths chain_invariants may sample.
 HORIZON_CAP = 64
+#: Most orbit images the terms of a chain_invariants window may enumerate.
+WINDOW_CAP = 200_000
 
 
 class Symmetry(str, Enum):
@@ -125,24 +128,21 @@ def sym_orbit(u: Monomial, n: int) -> frozenset[Monomial]:
 
 
 def _orbit(u: Monomial, m: int, n: int, symmetry: Symmetry) -> frozenset[Monomial]:
-    if symmetry is Symmetry.INC:
-        return inc_orbit(u, m, n)
-    return sym_orbit(u, n)
+    """Images of u, viewed at width m, under the chain's maps into [n].
 
-
-def _orbit_within(u: Monomial, n: int, symmetry: Symmetry) -> frozenset[Monomial]:
-    """Images of u under the chain's maps into any width that land inside [n].
-
-    In the increasing case, viewing u at the width of its own support
-    reserves no room above it; in the symmetric case this is sym_orbit.
+    Empty when no map fits: m > n for Inc, a support wider than n for Sym.
     """
     if symmetry is Symmetry.SYM:
-        return sym_orbit(u, n) if len(u.support) <= n else frozenset()
-    if u.is_one:
-        return frozenset({Monomial.one(n)})
-    if u.maxsupp > n:
-        return frozenset()
-    return inc_orbit(Monomial(u.exps, u.maxsupp), u.maxsupp, n)
+        return sym_orbit(u, n) if len(u.exps) <= n else frozenset()
+    return inc_orbit(u.embed(m), m, n) if m <= n else frozenset()
+
+
+def _orbit_count(u: Monomial, m: int, n: int, symmetry: Symmetry) -> int:
+    """The size of _orbit(u, m, n, symmetry), with no image built."""
+    k = len(u.exps)
+    if symmetry is Symmetry.SYM:
+        return _orbit_size([e for _, e in u.exps] + [0] * (n - k)) if k <= n else 0
+    return math.comb(n - m + k, k) if m <= n else 0
 
 
 # -- chain families --------------------------------------------------------
@@ -198,6 +198,12 @@ class OrbitChain:
                                     f"head term {w} does not map into term {target}"
                                 )
 
+    def _images(self, n: int) -> int:
+        """Orbit images that building term n enumerates."""
+        if n < self.index:
+            return 0
+        return sum(_orbit_count(g, self.index, n, self.symmetry) for g in self.seed.gens)
+
     def _compute_term(self, n: int) -> MonomialIdeal:
         if n < self.index:
             if self.head:
@@ -234,14 +240,16 @@ class SaturationChain:
     def symmetry(self) -> Symmetry:
         return self.base.symmetry
 
-    @property
-    def seed(self) -> MonomialIdeal:
-        return self.base.seed
+    def _images(self, n: int) -> int:
+        return sum(
+            _orbit_count(g, max(1, g.maxsupp), n, self.symmetry) for g in self.base.seed.gens
+        )
 
     def _compute_term(self, n: int) -> MonomialIdeal:
         gens: list[Monomial] = []
         for g in self.base.seed.gens:
-            gens.extend(_orbit_within(g, n, self.base.symmetry))
+            # at the width of its own support, g has no room reserved above it
+            gens.extend(_orbit(g, max(1, g.maxsupp), n, self.symmetry))
         if not gens:
             return MonomialIdeal.zero(n)
         return minimalize(gens, n)
@@ -273,6 +281,10 @@ class MSaturationChain:
     def symmetry(self) -> Symmetry:
         return self.base.symmetry
 
+    def _images(self, n: int) -> int:
+        # term n multiplies out the base terms at widths 1..n-1
+        return sum(self.base._images(k) for k in range(1, n))
+
     def _compute_term(self, n: int) -> MonomialIdeal:
         gens: list[Monomial] = []
         for k in range(2, n + 1):
@@ -289,15 +301,11 @@ Chain = OrbitChain | SaturationChain | MSaturationChain
 
 
 @lru_cache(maxsize=4096)
-def _term_cached(chain: Chain, n: int) -> MonomialIdeal:
-    return chain._compute_term(n)
-
-
 def term(chain: Chain, n: int) -> MonomialIdeal:
     """The chain's ideal at width n (n >= 1)."""
-    if n < 1:
+    if n < 1:  # a raise is not cached
         raise ValueError("width must be at least 1")
-    return _term_cached(chain, n)
+    return chain._compute_term(n)
 
 
 def saturation(chain: OrbitChain) -> SaturationChain:
@@ -367,9 +375,14 @@ def chain_invariants(chain: Chain, horizon: int | None = None) -> ChainInvariant
     """Sample terms over a window and report the chain's limit weights.
 
     The window is [index, index + horizon], horizon defaulting to
-    2 * delta(seed) + 4; a horizon above HORIZON_CAP raises CapExceeded
-    before any term is built.  Certificates, in order of strength:
-    reached_w, saturated, stable_tail, inconclusive.
+    2 * delta(seed) + 4.  Once the seed term has sized it, and before any
+    other term is built, CapExceeded is raised for a horizon above
+    HORIZON_CAP, or when the terms the window builds would enumerate more
+    than WINDOW_CAP orbit images in all.  Those terms are the window's,
+    and for a chain not saturated by construction those at widths
+    [2 index, 2 index + horizon], whose restrictions are the saturated
+    truncations.  Certificates, in order of strength: reached_w,
+    saturated, stable_tail, inconclusive.
 
     The quasi-saturation flag compares widths index and index + 1, so it
     trusts the declared index to be the width where the chain actually
@@ -388,6 +401,12 @@ def chain_invariants(chain: Chain, horizon: int | None = None) -> ChainInvariant
         raise ValueError("horizon must be at least 1")
     if h > HORIZON_CAP:
         raise CapExceeded("invariants horizon", HORIZON_CAP, h)
+    widths = set(range(r, r + h + 1))
+    if not chain.saturated_by_construction:
+        widths |= set(range(2 * r, 2 * r + h + 1))
+    images = sum(chain._images(n) for n in widths)
+    if images > WINDOW_CAP:
+        raise CapExceeded("invariants window images", WINDOW_CAP, images)
 
     lam_vals = [term(chain, n).weights().lambda_ for n in range(r, r + h + 1)]
     sat_ok = window_saturated(chain, h)

@@ -148,15 +148,16 @@ def cmd_betti(args: argparse.Namespace) -> int:
         term(chain, args.n), FieldSpec(args.char), args.gen_cap, args.lattice_cap
     )
     degrees, rows, dims = table.expanded
-    # the factor x_j^e for each exponent e that occurs in column j
-    names = [
-        {e: f"x{j}^{e}" if e > 1 else f"x{j}" for e in set(col.tolist())}
-        for j, col in enumerate(rows.T, 1)
-    ]
+    # per column j, the factor "*x_j^e" indexed by its exponent e, "" for 0
+    columns = []
+    for j, col in enumerate(rows.T, 1):
+        names = [""] * (int(col.max()) + 1)
+        for e in set(col.tolist()) - {0}:
+            names[e] = f"*x{j}^{e}" if e > 1 else f"*x{j}"
+        columns.append(map(names.__getitem__, col.tolist()))
     lines = ["i,multidegree,value"]
-    for i, row, v in zip(degrees.tolist(), rows.tolist(), dims.tolist()):
-        a = "*".join([names[j][e] for j, e in enumerate(row) if e]) or "1"
-        lines.append(f"{i},{a},{v}")
+    for i, factors, v in zip(degrees.tolist(), zip(*columns), dims.tolist()):
+        lines.append(f"{i},{''.join(factors)[1:] or '1'},{v}")
     lines.append(f"# pd {table.pd()} reg {table.reg()} char {table.char}")
     print("\n".join(lines))
     return EXIT_OK

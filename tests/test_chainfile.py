@@ -106,3 +106,21 @@ def test_load_chain_roundtrip(tmp_path):
     c = load_chain(str(path))
     assert c.index == 2
     assert str(c.seed) == "<x1*x2^2, x2^3>"
+
+
+@pytest.mark.parametrize(
+    "text,message,line,col",
+    [
+        ("index 0\ngen x1\n", "index must be at least 1", 1, 7),
+        ("index 2\ngen\n", "gen line needs a monomial", 2, None),
+        ("index 2\ngen x1\nhead x x1\n", "head needs a width", 3, 6),
+        ("index 2\ngen x1\nhead 1\n", "head line needs a monomial", 3, None),
+        # the chain itself rejects a head whose images miss the seed: line of the index
+        ("index 2\ngen x1*x2\nhead 1 x1\n", "head term 1 does not map into term 2", 1, None),
+    ],
+    ids=["index_below_one", "empty_gen", "head_width", "empty_head", "head_not_in_seed"],
+)
+def test_loads_chain_line_errors(text, message, line, col):
+    with pytest.raises(ChainFileError) as e:
+        loads_chain(text)
+    assert (e.value.message, e.value.line, e.value.col) == (message, line, col)

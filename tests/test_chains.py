@@ -28,7 +28,7 @@ from incideals import (
     sym_orbit,
     term,
 )
-from incideals.monomials import _orbit_size
+from incideals.monomials import _orbit_size, minimalize
 from conftest import ideal, mono
 
 
@@ -115,6 +115,33 @@ def test_orbit_caps_trip_before_enumerating(monkeypatch):
     with pytest.raises(CapExceeded) as exc:
         sym_orbit(wide_sym, 40)
     assert exc.value.actual == comb(40, 6) > chains.ORBIT_CAP
+
+
+@pytest.mark.parametrize(
+    "pairs,m,n,symmetry,size",
+    [
+        ([(1, 2), (3, 1)], 3, 5, Symmetry.INC, comb(4, 2)),
+        ([(1, 2), (3, 1)], 3, 2, Symmetry.INC, 0),  # m > n: no increasing map
+        ([(1, 2), (3, 1)], 3, 5, Symmetry.SYM, 20),
+        ([(1, 1), (2, 1), (3, 1)], 3, 2, Symmetry.SYM, 0),  # support wider than n
+        ([], 1, 4, Symmetry.INC, 1),
+    ],
+    ids=["inc", "inc_no_map", "sym", "sym_too_wide", "unit"],
+)
+def test_orbit_and_its_count(pairs, m, n, symmetry, size):
+    u = mono(pairs, m)
+    images = chains._orbit(u, m, n, symmetry)
+    assert len(images) == chains._orbit_count(u, m, n, symmetry) == size
+    if size and symmetry is Symmetry.INC:
+        assert images == inc_orbit_by_shifts(u, m, n)
+
+
+def test_sym_saturation_below_the_index_drops_wide_supports():
+    # x1*x2*x3 has no image at width 2; x1^2*x2 has its two arrangements
+    seed = ideal([[(1, 2), (2, 1)], [(1, 1), (2, 1), (3, 1)]], 3)
+    s = saturation(OrbitChain(seed=seed, index=3, symmetry=Symmetry.SYM))
+    assert term(s, 2) == ideal([[(1, 2), (2, 1)], [(1, 1), (2, 2)]], 2)
+    assert term(s, 1).is_zero
 
 
 def test_orbit_chain_terms(mixed_squares_chain):
@@ -235,6 +262,54 @@ def test_chain_invariants_saturated(mixed_squares_chain):
     assert inv.saturated_window
     assert inv.quasi_saturated
     assert inv.lambda_ == 2
+
+
+def test_chain_invariants_stable_tail():
+    # lambda is 1 over the whole window, below w = 2, on a chain that is
+    # not saturated
+    c = OrbitChain(seed=ideal([[(3, 2)], [(1, 3), (2, 1)]], 3), index=3)
+    inv = chain_invariants(c)
+    assert (inv.lambda_, inv.w, inv.horizon) == (1, 2, 12)
+    assert not inv.saturated_window
+    assert inv.lambda_certificate == "stable_tail" and not inv.lambda_exact
+
+
+def test_chain_invariants_window_cap_trips_before_the_window(monkeypatch):
+    # horizon 2 * 22 + 4 = 48: the terms at widths 3..51 and, for the
+    # saturated truncations, 6..54 enumerate C(55, 4) = 341,055 images
+    c = OrbitChain(seed=ideal([[(1, 20), (2, 1), (3, 1)]], 3), index=3)
+    term(c, 3)  # the seed term sizes the window
+
+    def no_terms(self, n):
+        raise AssertionError(f"term {n} was built")
+
+    monkeypatch.setattr(OrbitChain, "_compute_term", no_terms)
+    with pytest.raises(CapExceeded) as exc:
+        chain_invariants(c)
+    assert exc.value.what == "invariants window images"
+    assert exc.value.actual == comb(55, 4) > chains.WINDOW_CAP
+
+
+@pytest.mark.parametrize("derive", [lambda c: c, saturation, lambda c: m_saturation(c, 2)],
+                         ids=["plain", "saturation", "msat"])
+def test_window_images_count_what_a_term_enumerates(mixed_squares_chain, derive, monkeypatch):
+    # orbit terms minimalize exactly their images; an m-saturation term
+    # multiplies out the base generators, at most their images
+    c = derive(mixed_squares_chain)
+    sizes = []
+
+    def counted(gens, n):
+        sizes.append(len(gens))
+        return minimalize(gens, n)
+
+    monkeypatch.setattr(chains, "minimalize", counted)
+    for n in range(c.index, c.index + 4):
+        sizes.clear()
+        c._compute_term(n)
+        if isinstance(c, MSaturationChain):
+            assert sizes[-1] <= c._images(n)
+        else:
+            assert sizes == [c._images(n)]
 
 
 def test_colon_filtration_matches_definitional(squares_chain, mixed_squares_chain):

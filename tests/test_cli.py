@@ -8,6 +8,9 @@ from pathlib import Path
 import pytest
 
 import incideals
+import incideals.cli as cli
+from incideals import CheckResult
+from incideals.chains import WINDOW_CAP
 from incideals.cli import main
 
 MIXED = "index 3\ngen x1^2\ngen x2^2*x3\ngen x3^2\n"
@@ -496,3 +499,57 @@ def test_betti_after_a_usage_error_matches_a_fresh_process(mixed_file, capsys):
         check=True,
     )
     assert capsys.readouterr().out == fresh.stdout
+
+
+def test_verify_prints_the_first_failure_and_exits_1(squares_file, capsys, monkeypatch):
+    def failing(chain, horizon, **kw):
+        return CheckResult("pd_linearity", True, False, {"failures": [("term", 4), ("term", 5)]})
+
+    monkeypatch.setattr(cli, "check_pd_linearity", failing)
+    assert main(["verify", squares_file, "--check", "pd", "--check", "reg"]) == 1
+    assert capsys.readouterr().out == "FAIL pd_linearity (('term', 4))\nPASS reg_slope\n"
+
+
+def test_series_betti_total(tmp_path, capsys):
+    p = tmp_path / "total.chain"
+    p.write_text("index 3\ngen x1^2*x2\ngen x1*x3^2\n")
+    assert main(["series", str(p), "--metric", "betti_total", "--from", "3", "--to", "6"]) == 0
+    assert capsys.readouterr().out.splitlines()[:6] == [
+        "n,value", "3,3", "4,21", "5,73", "6,201", "# metric betti_total char 32003",
+    ]
+
+
+@pytest.mark.parametrize("metric", ["pd", "gens"])
+def test_series_saturation_of_the_sym_chain(sym_file, capsys, metric):
+    # a Sym chain is saturated by construction: its saturation has the same terms
+    argv = ["series", sym_file, "--metric", metric, "--from", "3", "--to", "7"]
+    assert main(argv + ["--saturation"]) == 0
+    saturated = capsys.readouterr().out
+    assert main(argv) == 0
+    assert saturated == capsys.readouterr().out
+    values = {"pd": [2, 3, 4, 5, 6], "gens": [7, 16, 30, 50, 77]}[metric]
+    assert saturated.splitlines()[1:6] == [f"{n},{v}" for n, v in zip(range(3, 8), values)]
+
+
+def test_invariants_window_cap_exits_before_the_window(tmp_path, capsys):
+    # horizon 48: the window's terms would enumerate C(55, 4) = 341,055 images
+    p = tmp_path / "long.chain"
+    p.write_text("index 3\ngen x1^20*x2*x3\n")
+    start = time.perf_counter()
+    rc = main(["invariants", str(p)])
+    assert time.perf_counter() - start < 1
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        f"error: invariants window images: 341055 exceeds cap {WINDOW_CAP}\n"
+    )
+
+
+def test_verify_pd_answers_where_the_table_passes_the_lattice_cap(tmp_path, capsys):
+    # pd of every term of <x1 x2^2, x2^3> comes from a socle witness, with no
+    # lattice built; the reg check needs the tables, whose lattices pass 50
+    p = tmp_path / "power.chain"
+    p.write_text(POWER)
+    assert main(["verify", str(p), "--check", "pd", "--lattice-cap", "50"]) == 0
+    assert capsys.readouterr().out == "PASS pd_linearity\n"
+    assert main(["verify", str(p), "--check", "reg", "--lattice-cap", "50"]) == 3
+    assert "lcm lattice size" in capsys.readouterr().err
