@@ -771,7 +771,6 @@ class _Walk:
         self._encode = None  # rows to keys
         self._supp: np.ndarray | None = None  # per row: its support size
         self._core: np.ndarray | None = None  # per row: -1 or a core index
-        self._restricted: list | None = None  # per column: `_restriction`, while read
         self._low = width + 1  # every row of support at least this is classified
         self._cores: dict[tuple[int, tuple[int, ...]], int] = {}  # core -> index
         self._tables: dict = {}  # p, or (p, variables, width) when padded
@@ -796,13 +795,10 @@ class _Walk:
             self._encode = _row_keys(self._gens)[0]
             self._supp = np.count_nonzero(self._lattice, axis=1)
             self._core = np.full(len(self._lattice), -1, dtype=np.int64)
-            self._restricted = [_restriction(self._gens, j) for j in range(self._ambient)]
             _restrictions[self._gens.shape, self._gens.tobytes()] = self
         self._read_restrictions(low)
         band = np.flatnonzero((self._supp >= low) & (self._core < 0))
         self._low = min(low, self._low)
-        if self._low <= 1:  # every row is classified now: no restriction is read again
-            self._restricted = None
         if not len(band):
             return
         cores = self._cores
@@ -827,8 +823,7 @@ class _Walk:
         A row has a zero coordinate exactly when its support is below the
         width.  For each column j, the generators free of x_j, their
         unused columns dropped, key the walk of that restriction in
-        `_restrictions`; `_restricted` holds those keys from when the
-        lattice is built until every row is classified.  Its rows are the rows here with a_j = 0, the
+        `_restrictions`.  Its rows are the rows here with a_j = 0, the
         same columns dropped (sorted descending when it is symmetric), and
         it has classified all those of support at least its `_low`.  Those
         rows here are found in its sorted keys by one `searchsorted`: a row
@@ -846,8 +841,10 @@ class _Walk:
         for j in reversed(range(self._ambient)):
             if not len(pending):
                 break
-            used, key = self._restricted[j]
-            other = _restrictions.get(key)
+            sub = self._gens[self._gens[:, j] == 0]
+            used = sub.any(axis=0)
+            sub = sub[:, used]
+            other = _restrictions.get((sub.shape, sub.tobytes()))
             if other is None:
                 continue
             with other._lock:
@@ -947,15 +944,6 @@ class _Walk:
             p,
             self._ambient,
         )
-
-
-def _restriction(gens: np.ndarray, j: int) -> tuple[np.ndarray, tuple]:
-    """The columns that the generators free of column j use, and the key
-    of those generators, with the other columns dropped, in `_restrictions`."""
-    sub = gens[gens[:, j] == 0]
-    used = sub.any(axis=0)
-    sub = sub[:, used]
-    return used, (sub.shape, sub.tobytes())
 
 
 _walk = lru_cache(maxsize=256)(_Walk)

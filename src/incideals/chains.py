@@ -78,7 +78,7 @@ def inc_orbit(u: Monomial, m: int, n: int) -> frozenset[Monomial]:
     if u.ambient > m:
         raise AmbientMismatch(f"{u!r} does not live in width {m}")
     k = len(u.exps)
-    placements = math.comb(n - m + k, k)
+    placements = _orbit_count(u, m, n, Symmetry.INC)
     if placements > ORBIT_CAP:
         raise CapExceeded("inc orbit placements", ORBIT_CAP, placements)
     return frozenset(
@@ -120,10 +120,10 @@ def sym_orbit(u: Monomial, n: int) -> frozenset[Monomial]:
     """
     if len(u.exps) > n:
         raise ValueError(f"{u!r} has support wider than {n}")
-    row = [e for _, e in u.exps] + [0] * (n - len(u.exps))
-    images = _orbit_size(row)
+    images = _orbit_count(u, n, n, Symmetry.SYM)
     if images > ORBIT_CAP:
         raise CapExceeded("sym orbit images", ORBIT_CAP, images)
+    row = [e for _, e in u.exps] + [0] * (n - len(u.exps))
     return frozenset(Monomial.from_dense(a) for a in _arrangements(row))
 
 

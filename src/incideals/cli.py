@@ -148,16 +148,15 @@ def cmd_betti(args: argparse.Namespace) -> int:
         term(chain, args.n), FieldSpec(args.char), args.gen_cap, args.lattice_cap
     )
     degrees, rows, dims = table.expanded
-    # per column j, the factor "*x_j^e" indexed by its exponent e, "" for 0
-    columns = []
-    for j, col in enumerate(rows.T, 1):
-        names = [""] * (int(col.max()) + 1)
-        for e in set(col.tolist()) - {0}:
-            names[e] = f"*x{j}^{e}" if e > 1 else f"*x{j}"
-        columns.append(map(names.__getitem__, col.tolist()))
+    # the factor x_j^e for each exponent e that occurs in column j
+    names = [
+        {e: f"x{j}^{e}" if e > 1 else f"x{j}" for e in set(col.tolist())}
+        for j, col in enumerate(rows.T, 1)
+    ]
     lines = ["i,multidegree,value"]
-    for i, factors, v in zip(degrees.tolist(), zip(*columns), dims.tolist()):
-        lines.append(f"{i},{''.join(factors)[1:] or '1'},{v}")
+    for i, row, v in zip(degrees.tolist(), rows.tolist(), dims.tolist()):
+        a = "*".join([names[j][e] for j, e in enumerate(row) if e]) or "1"
+        lines.append(f"{i},{a},{v}")
     lines.append(f"# pd {table.pd()} reg {table.reg()} char {table.char}")
     print("\n".join(lines))
     return EXIT_OK
@@ -200,25 +199,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
     kw = dict(
         field=FieldSpec(args.char), gen_cap=args.gen_cap, lattice_cap=args.lattice_cap
     )
-    results = []
+    failed = False
+    # each line is printed as its check returns, so a cap tripped by a later
+    # check keeps the earlier lines
     for name in selected:
         if name == "pd":
-            results.append(check_pd_linearity(chain, args.horizon, **kw))
+            res = check_pd_linearity(chain, args.horizon, **kw)
         elif name == "reg":
-            results.append(check_reg_slope(chain, args.horizon, **kw))
+            res = check_reg_slope(chain, args.horizon, **kw)
         elif name == "betti":
             n = args.n if args.n is not None else chain.index + 1
-            results.append(check_betti_propagation(chain, n, **kw))
+            res = check_betti_propagation(chain, n, **kw)
         elif name == "msat":
-            results.append(
-                check_msat_identities(chain, args.m, args.horizon, **kw)
-            )
+            res = check_msat_identities(chain, args.m, args.horizon, **kw)
         elif name == "colon":
-            results.append(
-                check_colon_filtration(chain, args.e, args.horizon, **kw)
-            )
-    failed = False
-    for res in results:
+            res = check_colon_filtration(chain, args.e, args.horizon, **kw)
         if not res.applicable:
             reason = res.details.get("reason", "not applicable")
             print(f"NA   {res.name} ({reason})")

@@ -544,6 +544,19 @@ def test_invariants_window_cap_exits_before_the_window(tmp_path, capsys):
     )
 
 
+def test_verify_keeps_the_lines_printed_before_a_cap(tmp_path, capsys):
+    # the pd check passes; the reg check then sizes the invariants window of
+    # the 2-saturation at 657,799 images
+    p = tmp_path / "wide_sym.chain"
+    p.write_text("index 5\nsymmetry sym\ngen x1*x2*x3*x4*x5\n")
+    assert main(["verify", str(p), "--msat", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "PASS pd_linearity\n"
+    assert captured.err == (
+        f"error: invariants window images: 657799 exceeds cap {WINDOW_CAP}\n"
+    )
+
+
 def test_verify_pd_answers_where_the_table_passes_the_lattice_cap(tmp_path, capsys):
     # pd of every term of <x1 x2^2, x2^3> comes from a socle witness, with no
     # lattice built; the reg check needs the tables, whose lattices pass 50
