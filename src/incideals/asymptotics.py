@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import random
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .betti import (
     DEFAULT_GEN_CAP,
     DEFAULT_LATTICE_CAP,
+    _differences,
     betti_table,
     pd,
 )
@@ -437,17 +437,14 @@ def check_msat_identities(
         # x_n is the last column: the degrees (a, m) of J_n, with m dropped
         degrees, rows, dims = tj.expanded
         top = rows[:, -1] == m
-        lhs = Counter(_keyed(degrees[top], rows[top, :-1], dims[top]))
-        rhs = Counter(_keyed(*ti.expanded))
+        right = [ti.expanded]
         if tj1 is not None:
-            rhs.update(_keyed(*tj1.expanded, shift=1))
-        wrong = [
-            (i, Monomial.from_dense(a), lhs[i, a], rhs[i, a])
-            for i, a in lhs.keys() | rhs.keys()
-            if lhs[i, a] != rhs[i, a]
+            degrees1, rows1, dims1 = tj1.expanded
+            right.append((degrees1 + 1, rows1, dims1))
+        failures += [
+            (n, *wrong)
+            for wrong in _differences([(degrees[top], rows[top, :-1], dims[top])], right)
         ]
-        wrong.sort(key=lambda w: (w[0], w[1].sort_key()))
-        failures += [(n, i, str(a), left, right) for i, a, left, right in wrong]
         expected = ti.reg() + m
         if tj1 is not None:
             expected = max(expected, tj1.reg() + m - 1)

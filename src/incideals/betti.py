@@ -91,20 +91,29 @@ scattered onto the rows.  So each point is classified at most once for
 all characteristics: `betti --char 2` after `betti --char 32003` on one
 ideal only computes ranks.  `table` lowers the threshold to 0 and
 assembles the `BettiTable` from the rows kept; `pd` needs far less.
-While no lattice is built it looks for a depth-zero certificate: a
-socle monomial x^u of S/I (u outside I, x_i x^u in I for every i).  Its
-upper Koszul complex at u + (1, ..., 1) is the boundary of the
-(n-1)-simplex, so pd = n - 1, the largest value there is, with no
-lattice built and no lattice cap tripped; by Auslander-Buchsbaum such a
+While no lattice is built it looks for a certified depth of S/I, 0 or
+1, and then pd = n - 1 - depth (Auslander-Buchsbaum) in every
+characteristic, with no lattice built and no lattice cap tripped.
+Depth 0 is a socle monomial x^u of S/I (u outside I, x_i x^u in I for
+every i).  Its upper Koszul complex at u + (1, ..., 1) is the boundary
+of the (n-1)-simplex, so pd = n - 1, the largest value there is; such a
 u exists exactly when pd = n - 1.  The candidates are the products of
 the g_j - 1 over the generator exponents, at most 2^16 of them, tested
-in blocks, once per walk.  Otherwise pd walks the support bands of the
-lattice rows, built if need be: beta_{i,a} != 0 implies
-i <= |supp a| - 1, so it lowers the threshold to the top support of the
-rows kept first, and then, if the best degree found over GF(p) is
-`best`, to best + 2; no point of smaller support can exceed `best`.
-Both bands pass `_complex_classes` a subset of the lattice points, which
-is all its cone test needs, and after a table pd classifies nothing.
+in blocks, once per walk.  Depth 1 needs that search complete and
+empty, so depth >= 1, and a socle monomial x^u of the generators with
+some column j deleted (x_j set to 1).  Then x^u times a power of x_j
+at least every x_j exponent is annihilated by exactly the prime of all
+variables but x_j, which is so associated, and depth S/I <= 1
+(Bruns-Herzog, Prop. 1.2.13).  Columns are tried from the last, each
+search within the same bound.  Depth 1 with no associated prime of
+height n - 1, as of <x1, x2> /\\ <x3, x4>, is not certified.  Otherwise
+pd walks the support bands of the lattice rows, built if need be:
+beta_{i,a} != 0 implies i <= |supp a| - 1, so it lowers the threshold
+to the top support of the rows kept first, and then, if the best degree
+found over GF(p) is `best`, to best + 2; no point of smaller support can
+exceed `best`.  Both bands pass `_complex_classes` a subset of the
+lattice points, which is all its cone test needs, and after a table pd
+classifies nothing.
 `pd`, the pd series and the pd check take the walk; `betti_table` and
 every caller that needs the table anyway (the `betti` CSV, the other
 verify checks, the other series metrics) take the table.
@@ -129,6 +138,7 @@ import math
 import threading
 import weakref
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -256,7 +266,7 @@ def _symmetric(gens: np.ndarray) -> bool:
 
 def _lattice_matrix(
     gens: np.ndarray, lattice_cap: int, symmetric: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable]:
     """All exponentwise maxima of nonempty generator subsets, with weights.
 
     Closure under pairwise maximum with single generators reaches every
@@ -269,10 +279,10 @@ def _lattice_matrix(
     of joins is located in it by one `searchsorted`, which both tests
     membership and gives the insertion points of the new keys.  Returns the
     rows in increasing key order, which is lexicographic, the number of
-    lattice points each stands for (its orbit size, else 1), and the sorted
-    keys themselves, in the encoding of `_row_keys(gens)`.  The cap counts
-    the whole lattice, not the rows; it is checked after every block, so it
-    trips inside the round that crosses it.
+    lattice points each stands for (its orbit size, else 1), the sorted
+    keys themselves, and the `encode` of `_row_keys(gens)` that made them.
+    The cap counts the whole lattice, not the rows; it is checked after
+    every block, so it trips inside the round that crosses it.
     """
     encode, decode, joins = _row_keys(gens)
     limit = min(lattice_cap, _MAX_WEIGHT)
@@ -309,7 +319,7 @@ def _lattice_matrix(
         frontier = np.concatenate(fresh_parts) if fresh_parts else seen[:0]
     rows = decode(seen)
     weights = list(map(_orbit_size, rows.tolist())) if symmetric else np.ones(len(rows))
-    return rows, np.asarray(weights, dtype=np.int64), seen
+    return rows, np.asarray(weights, dtype=np.int64), seen, encode
 
 
 def lcm_lattice(
@@ -326,7 +336,7 @@ def lcm_lattice(
     return frozenset(Monomial.from_dense(row, ideal.ambient) for row in rows)
 
 
-# -- depth-zero certificate -----------------------------------------------
+# -- depth certificates ----------------------------------------------------
 
 _SOCLE_CANDIDATES = 1 << 16  # socle candidates tried before the lattice walk
 
@@ -380,6 +390,37 @@ def _socle_witness(gens: np.ndarray) -> np.ndarray | None:
             alive, single = alive[hit], single[hit]
         if len(alive):
             return u[alive[0]]
+    return None
+
+
+def _certified_depth(gens: np.ndarray) -> int | None:
+    """depth S/I, when a socle witness settles it at 0 or 1; else None.
+
+    Depth 0 is a socle witness of I.  Depth 1 needs two facts.  First,
+    the search for one was complete and found none, so the maximal ideal
+    m is not associated and depth S/I >= 1.  Second, for some column j,
+    the generators with x_j set to 1 (column j deleted) have a socle
+    witness u.  Then w = (u, the largest x_j exponent) has x^w outside I
+    and x_i x^w in I for every i != j, and no power of x_j takes x^w into
+    I, so the annihilator of x^w is the prime m_j generated by every
+    variable but x_j.  So depth S/I <= dim S/m_j = 1 (Bruns-Herzog,
+    Prop. 1.2.13).  Ass and the socle do not depend on the field, so
+    neither does the depth.  Columns are tried from the last, the new
+    variable of a chain term, skipping each x_j with a power among the
+    generators: x_j = 1 makes those the unit ideal, which has no socle.
+    Deleting a column keeps the other columns' candidates, so each search
+    is bounded by _SOCLE_CANDIDATES, as the first one is.  Depth 1 with
+    no associated prime of height n - 1, as of <x1 x3, x1 x4, x2 x3,
+    x2 x4> = <x1, x2> /\\ <x3, x4>, is not certified.
+    """
+    if math.prod(map(len, _socle_columns(gens))) > _SOCLE_CANDIDATES:
+        return None
+    if _socle_witness(gens) is not None:
+        return 0
+    for j in reversed(range(gens.shape[1])):
+        rest = np.delete(gens, j, axis=1)
+        if rest.any(axis=1).all() and _socle_witness(rest) is not None:
+            return 1
     return None
 
 
@@ -708,6 +749,41 @@ class BettiTable:
         )
 
 
+def _differences(left: list, right: list) -> list[tuple[int, str, int, int]]:
+    """Where two sums of Betti tables differ: (i, a, left dim, right dim),
+    a as text, sorted by i and then by `Monomial.sort_key` of a.
+
+    Each side is a list of (degrees, rows, dims) arrays, rows of one width.
+    The dims count positive on the left and negative on the right; one
+    sort of every (i, a) brings equal keys together, and `np.add.reduceat`
+    sums them, so a nonzero sum is a difference.  Only those few are
+    sorted by `Monomial.sort_key`.
+    """
+    tables = left + right
+    degrees = np.concatenate([t[0] for t in tables])
+    rows = np.concatenate([t[1] for t in tables])
+    signed = np.concatenate([t[2] for t in left] + [-t[2] for t in right])
+    order = np.lexsort((*rows.T, degrees))
+    degrees, rows, signed = degrees[order], rows[order], signed[order]
+    first = np.ones(len(degrees), dtype=bool)
+    first[1:] = (degrees[1:] != degrees[:-1]) | (rows[1:] != rows[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    net = np.add.reduceat(signed, starts)
+    wrong = np.flatnonzero(net)
+    if not len(wrong):
+        return []
+    lhs = np.add.reduceat(signed.clip(0), starts)[wrong]
+    at = starts[wrong]
+    found = [
+        (i, Monomial.from_dense(a), x, x - d)
+        for i, a, x, d in zip(
+            degrees[at].tolist(), rows[at].tolist(), lhs.tolist(), net[wrong].tolist()
+        )
+    ]
+    found.sort(key=lambda f: (f[0], f[1].sort_key()))
+    return [(i, str(a), x, y) for i, a, x, y in found]
+
+
 def _padded(table: BettiTable, variables: tuple[int, ...], width: int) -> BettiTable:
     """The table of the same ideal in `width` variables, its own moved to
     x_v for v in `variables`.
@@ -733,7 +809,7 @@ class _Walk:
     The ideal is given as `_walk_key` gives it, with no unused variable, so
     ideals that differ only by unused variables share one walk.  The
     lattice itself is built on first use, with the lattice cap checked
-    then: a pd certified by a socle witness builds none.  The lattice and
+    then: a pd from a certified depth builds none.  The lattice and
     its classification are the same in every characteristic; only the
     tables are kept per characteristic.  The support size and the key of
     each row (in the encoding of `_row_keys`) are kept with it from when
@@ -763,7 +839,6 @@ class _Walk:
         self._gens = _exponent_matrix(gens, width)
         self._lattice_cap = lattice_cap
         self._ambient = width
-        self._certified: bool | None = None  # whether a socle witness exists
         self._symmetric = False
         self._lattice: np.ndarray | None = None
         self._weights: np.ndarray | None = None
@@ -789,10 +864,9 @@ class _Walk:
         that walks of restrictions have classified are read from them."""
         if self._lattice is None:
             self._symmetric = _symmetric(self._gens)
-            self._lattice, self._weights, self._keys = _lattice_matrix(
+            self._lattice, self._weights, self._keys, self._encode = _lattice_matrix(
                 self._gens, self._lattice_cap, self._symmetric
             )
-            self._encode = _row_keys(self._gens)[0]
             self._supp = np.count_nonzero(self._lattice, axis=1)
             self._core = np.full(len(self._lattice), -1, dtype=np.int64)
             _restrictions[self._gens.shape, self._gens.tobytes()] = self
@@ -884,23 +958,30 @@ class _Walk:
             default=-1,
         )
 
-    def pd(self, p: int) -> int:
-        """The largest homological degree over GF(p): n - 1 on a socle
-        witness while no lattice is built, else from the support bands of
-        the lattice rows.
+    @cached_property
+    def _certified(self) -> int | None:
+        """depth S/I when `_certified_depth` settles it, else None."""
+        return _certified_depth(self._gens)
 
-        beta_{i,a} != 0 implies i <= |supp a| - 1, so once the top band
-        of the rows kept gives `best`, only the points with best + 2 <=
-        |supp a| can exceed it; a second pass lowers the threshold to
-        best + 2.  Rows classified before, for any p, are not classified
-        again, so after a table pd only reads the classified rows.
+    def pd(self, p: int) -> int:
+        """The largest homological degree over GF(p): n - 1 - depth S/I
+        on a certified depth of 0 or 1 while no lattice is built, else
+        from the support bands of the lattice rows.
+
+        By Auslander-Buchsbaum pd I = n - 1 - depth S/I, in every
+        characteristic.  Depth 0 is certified by a socle witness, depth 1
+        by a complete search that found none together with a socle
+        witness of the generators with one column deleted; see
+        `_certified_depth`.  Otherwise beta_{i,a} != 0 implies
+        i <= |supp a| - 1, so once the top band of the rows kept gives
+        `best`, only the points with best + 2 <= |supp a| can exceed it;
+        a second pass lowers the threshold to best + 2.  Rows classified
+        before, for any p, are not classified again, so after a table pd
+        only reads the classified rows.
         """
         with self._lock:
-            if self._lattice is None:
-                if self._certified is None:
-                    self._certified = _socle_witness(self._gens) is not None
-                if self._certified:
-                    return self._ambient - 1
+            if self._lattice is None and self._certified is not None:
+                return self._ambient - 1 - self._certified
             self._classify(self._ambient + 1)  # builds the lattice, classifies no row
             top = int(self._supp.max())
             best = self._best(top, p)

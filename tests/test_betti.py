@@ -5,6 +5,7 @@ import operator
 import random
 import sys
 import threading
+import time
 from math import comb
 
 import numpy as np
@@ -44,6 +45,7 @@ from incideals.betti import (
     DEFAULT_LATTICE_CAP,
     _PAD,
     _SOCLE_CANDIDATES,
+    _certified_depth,
     _class_ranks,
     _complex_classes,
     _dense,
@@ -535,7 +537,7 @@ def assert_orbit_route_exact(J, field):
     gens = _dense(J)
     assert _symmetric(gens)
     lattice = lcm_lattice(J, gen_cap=None)
-    rows, weights, _ = _lattice_matrix(gens, DEFAULT_LATTICE_CAP, symmetric=True)
+    rows, weights, _, _ = _lattice_matrix(gens, DEFAULT_LATTICE_CAP, symmetric=True)
     assert int(weights.sum()) == len(lattice)
     assert all(list(r) == sorted(r, reverse=True) for r in rows.tolist())
     ref = {}
@@ -641,8 +643,9 @@ def test_lattice_matrix_matches_subset_enumeration(J):
     gens = _dense(J)
     assume(len(gens) <= 16)  # 2^gens subsets
     symmetric = _symmetric(gens)
-    rows, weights, keys = _lattice_matrix(gens, DEFAULT_LATTICE_CAP, symmetric)
+    rows, weights, keys, encode = _lattice_matrix(gens, DEFAULT_LATTICE_CAP, symmetric)
     assert np.array_equal(keys, _row_keys(gens)[0](rows))
+    assert np.array_equal(keys, encode(rows))
     listed = rows.tolist()
     assert all(a < b for a, b in zip(listed, listed[1:])), J  # lexicographic
     points = []
@@ -805,10 +808,16 @@ def test_pd_walk_matches_the_table(J, p):
 
 
 def complete_intersection_in_six():
-    # <x1^2, ..., x4^2, x5^2 x6> has depth 1, so its pd needs the lattice
+    # <x1^2, ..., x4^2, x5^2 x6>: depth 1, with <x1, ..., x5> associated
     return MonomialIdeal.from_gens(
         squares(6).gens[:4] + (mono([(5, 2), (6, 1)], 6),), 6
     )
+
+
+def two_lines():
+    # <x1 x3, x1 x4, x2 x3, x2 x4> = <x1, x2> /\ <x3, x4>: depth 1, but no
+    # associated prime of height 3, so its pd needs the lattice
+    return ideal([[(1, 1), (3, 1)], [(1, 1), (4, 1)], [(2, 1), (3, 1)], [(2, 1), (4, 1)]], 4)
 
 
 def walk_of(J):
@@ -817,16 +826,16 @@ def walk_of(J):
 
 
 def test_pd_walk_stops_at_the_top_band():
-    # 31 lattice points, one of support 6, of degree 4; no cone among them
-    J = complete_intersection_in_six()
+    # 9 lattice points, one of support 4, of degree 2; no cone among them
+    J = two_lines()
     _walk.cache_clear()
-    assert pd(J) == 4
+    assert pd(J) == 2
     walk = walk_of(J)
-    assert walk._low == 6
-    assert int((walk._core >= 0).sum()) == 1 < len(walk._core) == 31
-    assert betti_table(J).pd() == 4
+    assert walk._low == 4
+    assert int((walk._core >= 0).sum()) == 1 < len(walk._core) == 9
+    assert betti_table(J).pd() == 2
     assert walk._low == 0 and walk._core.min() >= 0
-    assert len(walk._lattice) == len(walk._weights) == 31
+    assert len(walk._lattice) == len(walk._weights) == 9
     # the top band of this lattice is one cone, which the table releases
     K = ideal([[(1, 2), (4, 1)], [(3, 1), (4, 2)], [(1, 3), (2, 1)]], 4)
     walk = walk_of(K)
@@ -867,9 +876,9 @@ def assert_walk_shared(J, chars, pd_first):
     lattice_matrix, complex_classes = betti_module._lattice_matrix, betti_module._complex_classes
 
     def counted_lattice(*args):
-        rows, weights, keys = lattice_matrix(*args)
-        built.append(len(rows))
-        return rows, weights, keys
+        result = lattice_matrix(*args)
+        built.append(len(result[0]))
+        return result
 
     def counted_classes(points, gens):
         classified.extend(map(tuple, points.tolist()))
@@ -939,7 +948,7 @@ def test_pd_after_a_table_reads_the_classified_rows(J, chars):
     [
         (squares(21), {}),
         (ideal([[(63, 1)]], 63), {"gen_cap": None}),
-        (complete_intersection_in_six(), {"lattice_cap": 10}),
+        (two_lines(), {"lattice_cap": 5}),
     ],
     ids=["gen_cap", "ambient_width", "lattice_cap"],
 )
@@ -962,6 +971,19 @@ def test_certified_pd_passes_the_lattice_cap():
         betti_table(squares(5), lattice_cap=10)
     with pytest.raises(CapExceeded):  # the width and generator caps come first
         pd(squares(21), lattice_cap=10)
+
+
+def test_depth_one_pd_passes_the_lattice_cap():
+    # <x1^2, ..., x4^2, x5^2 x6> has 31 lattice points and no socle, but
+    # the annihilator of x1 x2 x3 x4 x5 x6 is <x1, ..., x5>
+    J = complete_intersection_in_six()
+    _walk.cache_clear()
+    assert pd(J, lattice_cap=10) == 4 and pd(J, FieldSpec(2), lattice_cap=10) == 4
+    gens, used = _walk_key(J)
+    walk = _walk(gens, len(used), 10)
+    assert walk._certified == 1 and walk._lattice is None
+    with pytest.raises(CapExceeded):
+        betti_table(J, lattice_cap=10)
 
 
 # -- one walk up to unused variables, and cores read from restrictions ---------
@@ -1157,16 +1179,19 @@ def test_threads_reading_restrictions_match_cold_tables():
             assert d == cold[J].pd()
 
 
-# -- the depth-zero certificate -----------------------------------------------
+# -- the depth certificates ---------------------------------------------------
 
 def socle_candidates(J):
     return math.prod(map(len, _socle_columns(_dense(J))))
 
 
-def is_socle_monomial(J, u):
+def is_socle_monomial(J, u, skip=None):
+    """x^u is outside J and x_i x^u is in J for every i but `skip`."""
     x = Monomial.from_dense(u, J.ambient)
     return not J.contains(x) and all(
-        J.contains(x * Monomial.variable(i, J.ambient)) for i in range(1, J.ambient + 1)
+        J.contains(x * Monomial.variable(i, J.ambient))
+        for i in range(1, J.ambient + 1)
+        if i != skip
     )
 
 
@@ -1185,6 +1210,44 @@ def test_socle_witness_certifies_depth_zero(J, p):
     maximal = MonomialPrime(frozenset(range(1, n + 1)))
     assert (u is not None) == (maximal in associated_primes(J))
     assert (u is not None) == (betti_table(J, FieldSpec(p), gen_cap=None).pd() == n - 1)
+
+
+@settings(max_examples=150)
+@given(st.one_of(small_ideals(), symmetric_ideals(), chain_terms()))
+@example(complete_intersection_in_six())
+@example(two_lines())  # depth 1, but not certified
+def test_depth_one_certificate(J):
+    assume(socle_candidates(J) <= _SOCLE_CANDIDATES)
+    n, gens = J.ambient, _dense(J)
+    depth = _certified_depth(gens)
+    assert depth in (0, 1, None)
+    variables = frozenset(range(1, n + 1))
+    primes = associated_primes(J)
+    below = {MonomialPrime(variables - {j}) for j in variables} if n > 1 else set()
+    assert (depth == 1) == (MonomialPrime(variables) not in primes and bool(below & primes))
+    if depth != 1:
+        return
+    witnessed = 0
+    for j in range(1, n + 1):
+        u = _socle_witness(np.delete(gens, j - 1, axis=1))
+        if u is not None:
+            w = np.insert(u, j - 1, gens[:, j - 1].max())
+            assert is_socle_monomial(J, w.tolist(), skip=j), (J, j, w)
+            witnessed += 1
+    assert witnessed
+    for p in (2, 32003):
+        assert betti_table(J, FieldSpec(p), gen_cap=None).pd() == n - 2
+
+
+def test_depth_one_certificate_reaches_width_17_on_chain_1017():
+    # saturated chain 1017, <x2 x3, x3^2, x1^2 x2^2>, has depth 1 at every
+    # width; its lattice passes the default cap at width 13
+    started = time.monotonic()
+    report = series(SaturationChain(corpus_chain(1017)), "pd", 5, 17)
+    elapsed = time.monotonic() - started
+    assert report.truncated is None
+    assert report.values == tuple((n, n - 2) for n in range(5, 18))
+    assert elapsed < 10, f"took {elapsed:.1f}s, budget 10s"
 
 
 def test_socle_witness_gives_up_past_its_bound():

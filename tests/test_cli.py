@@ -460,13 +460,14 @@ EXPLORE_HEADER = "seed,r,gens,w,lambda,q,pd_slope,pd_onset,reg_slope,reg_onset,s
             "4,1,1,7,7,7,,,,,undetermined\n"
             "5,1,1,,,,,,,,partial\n",
         ),
-        # the lattice cap truncates series with and without a fit
+        # the lattice cap truncates series with and without a fit; seed 6,
+        # <x1 x2, x2^2 x3>, has depth 1, so its pd series passes the cap
         (
             ["--count", "4", "--seed", "3", "--horizon", "4", "--lattice-cap", "50"],
             "3,3,2,1,1,9,1,3,0,3,partial\n"
             "4,3,1,1,1,2,1,3,0,3,ok\n"
             "5,3,2,1,1,4,1,3,,,partial\n"
-            "6,3,2,1,1,15,,,,,partial\n",
+            "6,3,2,1,1,15,1,3,,,partial\n",
         ),
     ],
     ids=["horizon_cap", "lattice_cap"],
