@@ -97,16 +97,28 @@ characteristic, with no lattice built and no lattice cap tripped.
 Depth 0 is a socle monomial x^u of S/I (u outside I, x_i x^u in I for
 every i).  Its upper Koszul complex at u + (1, ..., 1) is the boundary
 of the (n-1)-simplex, so pd = n - 1, the largest value there is; such a
-u exists exactly when pd = n - 1.  The candidates are the products of
-the g_j - 1 over the generator exponents, at most 2^16 of them, tested
-in blocks, once per walk.  Depth 1 needs that search complete and
-empty, so depth >= 1, and a socle monomial x^u of the generators with
-some column j deleted (x_j set to 1).  Then x^u times a power of x_j
-at least every x_j exponent is annihilated by exactly the prime of all
-variables but x_j, which is so associated, and depth S/I <= 1
-(Bruns-Herzog, Prop. 1.2.13).  Columns are tried from the last, each
-search within the same bound.  Depth 1 with no associated prime of
-height n - 1, as of <x1, x2> /\\ <x3, x4>, is not certified.  Otherwise
+u exists exactly when pd = n - 1.  A walk keeps its witness, and the
+walk of the next width carries it: with J the generators free of x_n, a
+socle monomial x^u of J gives x_i x^(u,c) in I for every i < n and every
+c, and c = min{g_n : g[:n-1] <= u} - 1 is the one value with x^(u,c)
+outside I and x_n x^(u,c) in I.  Along a saturated chain (every Sym
+chain is one) J is the previous term, whose walk the widths run before,
+so one membership test per width replaces a search; the extension must
+pass the full witness test before it is used.  Otherwise the candidates
+are searched: the products of the g_j - 1 over the generator exponents,
+at most 2^16 of them, each block tested on one candidates x columns x
+generators array, gathered from a table of the clipped excesses of each
+column.  A walk past that bound whose restriction J has no live walk
+builds the walk of J and certifies it first, down the widths to one
+where the search fits.  Depth 1 needs that search complete and empty, so
+depth >= 1, and a socle monomial x^u of the generators with some column
+j deleted (x_j set to 1).  Then x^u times a power of x_j at least every
+x_j exponent is annihilated by exactly the prime of all variables but
+x_j, which is so associated, and depth S/I <= 1 (Bruns-Herzog, Prop.
+1.2.13).  Columns are tried from the last, each search within the same
+bound, and only the last when the generators are closed under permuting
+the variables.  Depth 1 with no associated prime of height n - 1, as of
+<x1, x2> /\\ <x3, x4>, is not certified.  Otherwise
 pd walks the support bands of the lattice rows, built if need be:
 beta_{i,a} != 0 implies i <= |supp a| - 1, so it lowers the threshold
 to the top support of the rows kept first, and then, if the best degree
@@ -122,8 +134,11 @@ Walks also share classified points through restriction.  The lattice
 points with a_j = 0 are exactly the lcm lattice of the generators free
 of x_j, and the upper Koszul complex at such a point sees only those
 generators (Hochster's restriction; Miller-Sturmfels, ch. 1 and 5).
-`_restrictions` indexes the live walks with a built lattice by their
-generator matrix, holding none of them alive.  Before a walk classifies
+`_restrictions` indexes the live walks with a built lattice or a
+certified depth by their generator matrix, holding none of them alive;
+it is where the walk of I_n finds the witness of I_{n-1} too.  Each walk
+works out the key of each of its restrictions once, when it first needs
+it.  Before a walk classifies
 the rows of a support band, it looks up the walk of each restriction
 there and takes the strong core of each row of the band with a_j = 0
 that the restriction has classified, found by one `searchsorted` of the
@@ -348,53 +363,80 @@ def _socle_columns(gens: np.ndarray) -> list[np.ndarray]:
     x_j x^u but not x^u, so g_j = u_j + 1: the candidates in column j are
     g_j - 1 over the positive g_j, ascending.  A column with none is a
     variable that is a nonzerodivisor on S/I, and then the socle is zero.
+    One sort of every column keeps the first of each run of equal positive
+    exponents.
     """
-    return [_sorted_unique(col[col > 0]) - 1 for col in gens.T]
+    s = np.sort(gens, axis=0)
+    keep = s > 0
+    keep[1:] &= s[1:] != s[:-1]
+    return np.split(s.T[keep.T] - 1, np.cumsum(keep.sum(axis=0))[:-1])
 
 
-def _socle_witness(gens: np.ndarray) -> np.ndarray | None:
-    """A monomial x^u in the socle of S/I, or None when none is found.
+def _socle_rows(over: np.ndarray) -> np.ndarray:
+    """Which candidates u give monomials x^u in the socle of S/I, from
+    `over`: max(g_j - u_j, 0), clipped at 2, for every candidate u (axis
+    0), column j (axis 1) and generator g (axis 2).
 
     x^u is in the socle when u is outside I and x_i x^u is in I for every
     i: no generator is <= u, and for every i some generator exceeds u at
-    i alone, by exactly 1.  The upper Koszul complex at u + (1, ..., 1) is
-    then the boundary of the (n-1)-simplex, so beta_{n-1, u+1} = 1 in
-    every characteristic and pd I = n - 1, the most Hilbert's syzygy
-    theorem allows; by Auslander-Buchsbaum, a socle exists exactly when pd
-    I = n - 1.  The candidates of `_socle_columns` are tried in
-    lexicographic order, in blocks of at most _BLOCK_CELLS (candidate,
-    generator) pairs, up to the first witness; past
-    _SOCLE_CANDIDATES of them none is tried, and None proves nothing.
+    i alone, by exactly 1.  Summed over the columns, `over` is 0 when
+    g <= u and 1 when g exceeds u at one column only, by 1.  Only the
+    candidates outside I take the second pass, over every column at once.
     """
-    columns = _socle_columns(gens)
-    count = math.prod(map(len, columns))
+    excess = over.sum(axis=1, dtype=over.dtype)
+    found = excess.all(axis=1)
+    outside = np.flatnonzero(found)
+    if len(outside):
+        single = (over[outside] == 1) & (excess[outside] == 1)[:, None, :]
+        found[outside] = single.any(axis=2).all(axis=1)
+    return found
+
+
+def _socle_witness(
+    gens: np.ndarray, columns: list[np.ndarray] | None = None
+) -> np.ndarray | None:
+    """A monomial x^u in the socle of S/I, or None when none is found.
+
+    The upper Koszul complex at u + (1, ..., 1) of a socle monomial x^u
+    is the boundary of the (n-1)-simplex, so beta_{n-1, u+1} = 1 in every
+    characteristic and pd I = n - 1, the most Hilbert's syzygy theorem
+    allows; by Auslander-Buchsbaum, a socle exists exactly when pd I =
+    n - 1.  The candidates of `_socle_columns`, given as `columns` or
+    worked out here, are tried in lexicographic order, up to the first
+    witness; past _SOCLE_CANDIDATES of them none is tried, and None
+    proves nothing.  The clipped excess of each generator over each
+    candidate value of each column is tabled once, as int8 (the sum over
+    at most 62 columns of values up to 2 fits), so each block of
+    candidates gathers its whole `over` array for `_socle_rows` in one
+    indexing, in blocks of at most _BLOCK_CELLS cells of gens.size each.
+    """
+    if columns is None:
+        columns = _socle_columns(gens)
+    sizes = [len(c) for c in columns]
+    count = math.prod(sizes)
     if not count or count > _SOCLE_CANDIDATES:
         return None
-    place = [math.prod(map(len, columns[j + 1 :])) for j in range(len(columns))]
-    most = max(1, _BLOCK_CELLS // len(gens))
+    values = np.concatenate(columns)  # every column's candidates, one row each
+    owner = np.repeat(np.arange(len(columns)), sizes)
+    table = np.clip(gens.T[owner] - values[:, None], 0, 2).astype(np.int8)
+    start = np.cumsum(sizes) - sizes
+    most = max(1, _BLOCK_CELLS // gens.size)
     lo, rows = 0, min(64, most)  # blocks double: an early witness costs little
     while lo < count:
         k = np.arange(lo, min(count, lo + rows))
         lo, rows = lo + rows, min(2 * rows, most)
-        u = np.stack([c[k // q % len(c)] for c, q in zip(columns, place)], axis=1)
-        # the sum over j of max(g_j - u_j, 0), each clipped at 2: 0 when
-        # g <= u, and 1 when g exceeds u at one column only, by exactly 1
-        excess = np.zeros((len(u), len(gens)), dtype=np.int16)
-        for j in range(gens.shape[1]):
-            over = gens[:, j] - u[:, j, None]
-            excess += np.clip(over, 0, 2, out=over)
-        alive = np.flatnonzero(excess.all(axis=1))
-        single = excess[alive] == 1
-        for j in range(gens.shape[1]):
-            hit = (single & (gens[:, j] == u[alive, j, None] + 1)).any(axis=1)
-            alive, single = alive[hit], single[hit]
-        if len(alive):
-            return u[alive[0]]
+        at = np.array(np.unravel_index(k, sizes)).T + start  # candidate k in table rows
+        found = np.flatnonzero(_socle_rows(table[at]))
+        if len(found):
+            return values[at[found[0]]]
     return None
 
 
-def _certified_depth(gens: np.ndarray) -> int | None:
-    """depth S/I, when a socle witness settles it at 0 or 1; else None.
+def _certified_depth(
+    gens: np.ndarray, columns: list[np.ndarray] | None = None
+) -> tuple[int | None, np.ndarray | None]:
+    """depth S/I, when a socle witness settles it at 0 or 1, else None;
+    and the socle witness at depth 0.
 
     Depth 0 is a socle witness of I.  Depth 1 needs two facts.  First,
     the search for one was complete and found none, so the maximal ideal
@@ -408,20 +450,29 @@ def _certified_depth(gens: np.ndarray) -> int | None:
     neither does the depth.  Columns are tried from the last, the new
     variable of a chain term, skipping each x_j with a power among the
     generators: x_j = 1 makes those the unit ideal, which has no socle.
-    Deleting a column keeps the other columns' candidates, so each search
-    is bounded by _SOCLE_CANDIDATES, as the first one is.  Depth 1 with
-    no associated prime of height n - 1, as of <x1 x3, x1 x4, x2 x3,
-    x2 x4> = <x1, x2> /\\ <x3, x4>, is not certified.
+    When the generator set is closed under permuting the variables, every
+    column gives the same answer, so only the last is tried.  Deleting a
+    column keeps the other columns' candidates, so `_socle_columns` is
+    worked out once (or passed as `columns`) and each search is bounded
+    by _SOCLE_CANDIDATES, as the first one is.  Depth 1 with no
+    associated prime of height n - 1, as of <x1 x3, x1 x4, x2 x3, x2 x4>
+    = <x1, x2> /\\ <x3, x4>, is not certified.
     """
-    if math.prod(map(len, _socle_columns(gens))) > _SOCLE_CANDIDATES:
-        return None
-    if _socle_witness(gens) is not None:
-        return 0
-    for j in reversed(range(gens.shape[1])):
+    if columns is None:
+        columns = _socle_columns(gens)
+    if math.prod(map(len, columns)) > _SOCLE_CANDIDATES:
+        return None, None
+    witness = _socle_witness(gens, columns)
+    if witness is not None:
+        return 0, witness
+    n = gens.shape[1]
+    for j in [n - 1] if _symmetric(gens) else reversed(range(n)):
         rest = np.delete(gens, j, axis=1)
-        if rest.any(axis=1).all() and _socle_witness(rest) is not None:
-            return 1
-    return None
+        if not rest.any(axis=1).all():
+            continue
+        if _socle_witness(rest, columns[:j] + columns[j + 1 :]) is not None:
+            return 1, None
+    return None, None
 
 
 # -- upper Koszul complexes ------------------------------------------------
@@ -827,6 +878,11 @@ class _Walk:
     beta_{i, sigma a} = beta_{i, a}, so the lattice holds one point per
     orbit.
 
+    A certified depth is worked out once, by `_certify`, and a depth-0
+    walk keeps its socle witness in `_witness`, from which the walk of
+    the next width extends its own; a certified walk is entered in
+    `_restrictions`, where that walk finds it.
+
     The rows with a_j = 0 are the lcm lattice of the generators free of
     x_j, and each carries the same upper Koszul complex there (Hochster's
     restriction).  Once its lattice is built, a walk is entered in
@@ -849,6 +905,9 @@ class _Walk:
         self._low = width + 1  # every row of support at least this is classified
         self._cores: dict[tuple[int, tuple[int, ...]], int] = {}  # core -> index
         self._tables: dict = {}  # p, or (p, variables, width) when padded
+        self._certified: int | None = -1  # depth S/I or None, by `_certify`; -1 before
+        self._witness: np.ndarray | None = None  # a socle monomial at depth 0
+        self._restricted: dict = {}  # column j -> `_restriction(j)`
         self._lock = threading.Lock()
 
     def _keep(self, rows: np.ndarray) -> None:
@@ -869,8 +928,10 @@ class _Walk:
             )
             self._supp = np.count_nonzero(self._lattice, axis=1)
             self._core = np.full(len(self._lattice), -1, dtype=np.int64)
-            _restrictions[self._gens.shape, self._gens.tobytes()] = self
+            _restrictions[_index_key(self._gens)] = self
         self._read_restrictions(low)
+        if low == 0:  # no row is left to read: the keys are not needed again
+            self._restricted.clear()
         band = np.flatnonzero((self._supp >= low) & (self._core < 0))
         self._low = min(low, self._low)
         if not len(band):
@@ -889,6 +950,16 @@ class _Walk:
             self._core[band[index]] = np.array(ids)[of_core[of_class]]
         self._keep((self._core >= 0) | (self._supp < low))
 
+    def _restriction(self, j: int) -> tuple[np.ndarray, tuple]:
+        """The columns that the generators free of x_j use, and the key in
+        `_restrictions` of those generators with the other columns
+        dropped; worked out once per walk and column."""
+        if j not in self._restricted:
+            sub = self._gens[self._gens[:, j] == 0]
+            used = sub.any(axis=0)
+            self._restricted[j] = used, _index_key(sub[:, used])
+        return self._restricted[j]
+
     def _read_restrictions(self, low: int) -> None:
         """Classify the rows of support at least `low` with a zero
         coordinate from the walks of the restrictions, where those have
@@ -897,14 +968,16 @@ class _Walk:
         A row has a zero coordinate exactly when its support is below the
         width.  For each column j, the generators free of x_j, their
         unused columns dropped, key the walk of that restriction in
-        `_restrictions`.  Its rows are the rows here with a_j = 0, the
-        same columns dropped (sorted descending when it is symmetric), and
-        it has classified all those of support at least its `_low`.  Those
-        rows here are found in its sorted keys by one `searchsorted`: a row
-        found takes its core, and a row absent was a cone there and is
-        dropped.  Python runs once per distinct core read, not per row.
-        The restriction has fewer generators than this walk, so its lock,
-        taken inside this walk's, is always the later in that order.
+        `_restrictions`; one with no lattice built is skipped.  Its rows are
+        the rows here with a_j = 0, the same columns dropped (sorted
+        descending when it is symmetric), and it has classified all those
+        of support at least its `_low`.  Those rows here are found in its
+        sorted keys by one `searchsorted`: a row found takes its core, and
+        a row absent was a cone there and is dropped.  Python runs once per
+        distinct core read, not per row.  The restriction has fewer
+        generators than this walk, so its lock, taken inside this walk's,
+        is always the later in that order.  The keys come from
+        `_restriction`, and a walk drops them once no row is left to read.
         """
         pending = np.flatnonzero(
             (self._supp >= low) & (self._supp < self._ambient) & (self._core < 0)
@@ -915,13 +988,13 @@ class _Walk:
         for j in reversed(range(self._ambient)):
             if not len(pending):
                 break
-            sub = self._gens[self._gens[:, j] == 0]
-            used = sub.any(axis=0)
-            sub = sub[:, used]
-            other = _restrictions.get((sub.shape, sub.tobytes()))
+            used, key = self._restriction(j)
+            other = _restrictions.get(key)
             if other is None:
                 continue
             with other._lock:
+                if other._lattice is None:  # entered by its certificate
+                    continue
                 read = (self._lattice[pending, j] == 0) & (self._supp[pending] >= other._low)
                 rows = pending[read]
                 if not len(rows):
@@ -958,10 +1031,63 @@ class _Walk:
             default=-1,
         )
 
-    @cached_property
-    def _certified(self) -> int | None:
-        """depth S/I when `_certified_depth` settles it, else None."""
-        return _certified_depth(self._gens)
+    def _certify(self) -> int | None:
+        """depth S/I when a socle witness settles it at 0 or 1, else None,
+        worked out on the first call, with the walk's lock held.
+
+        The depth-0 witness is kept in `_witness`.  Let J be the generators
+        free of x_n, with x_n dropped.  When J uses all n - 1 columns, the
+        witness of the walk of J, if it has one, is extended by
+        `_extended`.  That walk is looked up in `_restrictions`; when it is
+        not there and this walk has more than _SOCLE_CANDIDATES candidates
+        to search, it is built through `_walk` and certified first, which
+        recurses at most once per width.  Failing that, `_certified_depth`
+        searches.  A certified walk is entered in `_restrictions`, so that
+        the walk of the next width of a chain finds it there.
+        """
+        if self._certified != -1:
+            return self._certified
+        n, columns, other = self._ambient, None, None
+        used, key = self._restriction(n - 1)
+        if n > 1 and used[:-1].all():
+            other = _restrictions.get(key)
+            if other is None:
+                columns = _socle_columns(self._gens)
+                if math.prod(map(len, columns)) > _SOCLE_CANDIDATES:
+                    sub = self._gens[self._gens[:, -1] == 0, :-1].tolist()
+                    gens = tuple(Monomial.from_dense(row).exps for row in sub)
+                    other = _walk(gens, n - 1, self._lattice_cap)
+        depth = 0
+        self._witness = None if other is None else self._extended(other)
+        if self._witness is None:
+            depth, self._witness = _certified_depth(self._gens, columns)
+        if depth is not None:
+            _restrictions[_index_key(self._gens)] = self
+        self._certified = depth
+        return depth
+
+    def _extended(self, other: _Walk) -> np.ndarray | None:
+        """The socle witness of `other`, the walk of the generators free of
+        x_n, extended to this walk; None when it has none, or when the
+        extension is not a witness.
+
+        If x^u is a socle monomial of J, then x_i x^u is in I for every
+        i < n, and (u, c) is outside I exactly when c < g_n for every
+        generator g with g[:n-1] <= u, all of which use x_n.  So
+        c = min{g_n : g[:n-1] <= u} - 1 is the one value for which
+        x_n x^(u, c) is in I too.  The extension passes `_socle_rows`
+        before it is used.
+        """
+        with other._lock:  # it has fewer generators: the later lock
+            if other._certify() != 0:
+                return None
+            u = other._witness
+        below = (self._gens[:, :-1] <= u).all(axis=1)
+        if not below.any():
+            return None
+        w = np.append(u, self._gens[below, -1].min() - 1).astype(np.int16)
+        over = np.clip(self._gens.T - w[:, None], 0, 2)
+        return w if _socle_rows(over[None])[0] else None
 
     def pd(self, p: int) -> int:
         """The largest homological degree over GF(p): n - 1 - depth S/I
@@ -969,18 +1095,18 @@ class _Walk:
         from the support bands of the lattice rows.
 
         By Auslander-Buchsbaum pd I = n - 1 - depth S/I, in every
-        characteristic.  Depth 0 is certified by a socle witness, depth 1
-        by a complete search that found none together with a socle
-        witness of the generators with one column deleted; see
-        `_certified_depth`.  Otherwise beta_{i,a} != 0 implies
-        i <= |supp a| - 1, so once the top band of the rows kept gives
-        `best`, only the points with best + 2 <= |supp a| can exceed it;
-        a second pass lowers the threshold to best + 2.  Rows classified
-        before, for any p, are not classified again, so after a table pd
-        only reads the classified rows.
+        characteristic.  Depth 0 is certified by a socle witness, carried
+        from the walk of the previous width or searched, depth 1 by a
+        complete search that found none together with a socle witness of
+        the generators with one column deleted; see `_certify`.  Otherwise
+        beta_{i,a} != 0 implies i <= |supp a| - 1, so once the top band of
+        the rows kept gives `best`, only the points with best + 2 <=
+        |supp a| can exceed it; a second pass lowers the threshold to
+        best + 2.  Rows classified before, for any p, are not classified
+        again, so after a table pd only reads the classified rows.
         """
         with self._lock:
-            if self._lattice is None and self._certified is not None:
+            if self._lattice is None and self._certify() is not None:
                 return self._ambient - 1 - self._certified
             self._classify(self._ambient + 1)  # builds the lattice, classifies no row
             top = int(self._supp.max())
@@ -1028,9 +1154,14 @@ class _Walk:
 
 
 _walk = lru_cache(maxsize=256)(_Walk)
-# the walks with a built lattice, by generator matrix: an index of `_walk`
-# that holds none of them alive
+# the walks with a built lattice or a certified depth, by generator matrix:
+# an index of `_walk` that holds none of them alive
 _restrictions: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _index_key(gens: np.ndarray) -> tuple:
+    """The key of a generator matrix in `_restrictions`."""
+    return gens.shape, gens.tobytes()
 
 
 def _walk_key(ideal: MonomialIdeal) -> tuple[tuple, list[int]]:

@@ -1219,8 +1219,9 @@ def test_socle_witness_certifies_depth_zero(J, p):
 def test_depth_one_certificate(J):
     assume(socle_candidates(J) <= _SOCLE_CANDIDATES)
     n, gens = J.ambient, _dense(J)
-    depth = _certified_depth(gens)
+    depth, witness = _certified_depth(gens)
     assert depth in (0, 1, None)
+    assert (witness is not None) == (depth == 0)
     variables = frozenset(range(1, n + 1))
     primes = associated_primes(J)
     below = {MonomialPrime(variables - {j}) for j in variables} if n > 1 else set()
@@ -1259,3 +1260,141 @@ def test_socle_witness_gives_up_past_its_bound():
     J = MonomialIdeal.from_gens(tuple(gens), n)
     assert socle_candidates(J) == 2**17 > _SOCLE_CANDIDATES
     assert _socle_witness(_dense(J)) is None
+
+
+# -- socle witnesses carried along a chain ------------------------------------
+
+def free_of_last(J):
+    """The generators of J free of x_n, in n - 1 variables."""
+    n = J.ambient
+    return MonomialIdeal.from_gens(
+        tuple(Monomial(g.exps, n - 1) for g in J.gens if g.exponent(n) == 0), n - 1
+    )
+
+
+@settings(max_examples=100)
+@given(st.one_of(chain_terms(), symmetric_ideals()), st.sampled_from([2, 32003]))
+# <x1^2, x1 x2, x2^2, x1 x3>: the witness x2 of <x1^2, x1 x2, x2^2> extends
+# to none, since no generator with x3 lies below it, and the search finds
+# x1.  This is no chain term: on a saturated chain, with J = I_{n-1}, some
+# generator h <= u + e_{n-1} of I_{n-1} has an image under x_{n-1} -> x_n
+# that lies below u in the first n - 1 columns, so an extension is found
+@example(ideal([[(1, 2)], [(1, 1), (2, 1)], [(2, 2)], [(1, 1), (3, 1)]], 3), 2)
+def test_carried_socle_witness(J, p):
+    # symmetric_ideals() are the terms of the Sym chains of their patterns
+    n = J.ambient
+    assume(n > 1 and len(_walk_key(J)[1]) == n)
+    R = free_of_last(J)
+    assume(R.gens and len(_walk_key(R)[1]) == n - 1)
+    _walk.cache_clear()
+    pd(R, gen_cap=None)  # the walk of R is certified first, as in a series
+    value = pd(J, FieldSpec(p), gen_cap=None)
+    walk = walk_of(J)
+    carried = walk._extended(walk_of(R))
+    if carried is not None:
+        assert is_socle_monomial(J, carried.tolist())
+        assert walk._certified == 0 and walk._witness.tolist() == carried.tolist()
+    if walk._certified == 0:
+        assert is_socle_monomial(J, walk._witness.tolist())
+        assert value == n - 1
+    complete = socle_candidates(J) <= _SOCLE_CANDIDATES
+    for q in (2, 32003):
+        try:
+            table = betti_table(J, FieldSpec(q), gen_cap=None)
+        except CapExceeded:
+            continue
+        if walk._certified == 0 or complete:
+            assert (table.pd() == n - 1) == (walk._certified == 0)
+
+
+def test_restriction_walks_built_past_the_bound_are_the_series_walks():
+    # saturated chain 1014 has 2^(n-1) candidates at width n: from width 20
+    # the walk builds and certifies the walks of widths 19, 18 and 17, and
+    # the last searches within the bound
+    chain = SaturationChain(corpus_chain(1014))
+    _walk.cache_clear()
+    assert pd(term(chain, 20), gen_cap=None) == 19
+    assert _walk.cache_info().currsize == 4
+    for n in (17, 18, 19):
+        walk = walk_of(term(chain, n))
+        assert walk._certified == 0 and walk._lattice is None
+        assert is_socle_monomial(term(chain, n), walk._witness.tolist())
+    assert _walk.cache_info().currsize == 4  # the terms' own walks
+
+
+def test_symmetric_generators_search_one_deleted_column(monkeypatch):
+    # every triple product in five variables: depth 2, so neither depth is
+    # certified; a permuted column gives the same answer as the last
+    J = MonomialIdeal.from_gens(
+        tuple(Monomial.from_pairs([(i, 1) for i in t], 5)
+              for t in itertools.combinations(range(1, 6), 3)), 5
+    )
+    searched = []
+    witness = betti_module._socle_witness
+
+    def counted(gens, columns=None):
+        searched.append(gens.shape[1])
+        return witness(gens, columns)
+
+    monkeypatch.setattr(betti_module, "_socle_witness", counted)
+    assert _certified_depth(_dense(J)) == (None, None)
+    assert searched == [5, 4]
+
+
+@pytest.mark.parametrize(
+    "chain, top",
+    [(SaturationChain(corpus_chain(1014)), 11), (sym_chain(), 15)],
+    ids=["chain_1014_saturated", "sym_chain"],
+)
+def test_carried_pd_matches_the_table(chain, top):
+    # the pd series, carried from width to width with no lattice built,
+    # against the tables (on walks of their own, the lattice cap lifted)
+    _walk.cache_clear()
+    report = series(chain, "pd", chain.index, top)
+    assert report.truncated is None
+    for n, value in report.values:
+        J = term(chain, n)
+        assert walk_of(J)._lattice is None
+        for p in (2, 32003):
+            assert betti_table(J, FieldSpec(p), gen_cap=None, lattice_cap=10**9).pd() == value
+
+
+def test_threads_carrying_witnesses_agree():
+    # a walk certifies its restriction's walk under that walk's lock, inside
+    # its own: threads running a chain up, down (building the walks of the
+    # restrictions past the search bound) and through tables of the small
+    # widths neither deadlock nor disagree
+    chain = SaturationChain(corpus_chain(1014))
+    ideals = [term(chain, n) for n in range(5, 25)]
+    _walk.cache_clear()
+    got = [[] for _ in range(4)]
+    errors = []
+
+    def work(k):
+        try:
+            for J in ideals[:: 1 if k % 2 else -1]:
+                if k == 2 and J.ambient <= 8:
+                    got[k].append((J, betti_table(J, gen_cap=None).pd()))
+                got[k].append((J, pd(J, gen_cap=None)))
+        except Exception as exc:  # reported below, not lost in the thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    for done in got:
+        assert len(done) >= len(ideals)
+        assert all(d == J.ambient - 1 for J, d in done)
+    for J in ideals:
+        walk = walk_of(J)
+        if walk._lattice is None:
+            assert is_socle_monomial(J, walk._witness.tolist())

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import incideals
+import incideals.betti as betti
 import incideals.cli as cli
 from incideals import CheckResult
 from incideals.chains import WINDOW_CAP
@@ -530,6 +531,40 @@ def test_series_saturation_of_the_sym_chain(sym_file, capsys, metric):
     assert saturated == capsys.readouterr().out
     values = {"pd": [2, 3, 4, 5, 6], "gens": [7, 16, 30, 50, 77]}[metric]
     assert saturated.splitlines()[1:6] == [f"{n},{v}" for n, v in zip(range(3, 8), values)]
+
+
+CHAIN_1014 = "index 3\ngen x2^2\ngen x1*x2*x3\n"
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        (CHAIN_1014, ["--saturation", "--from", "5", "--to", "40"]),
+        (SYM, ["--from", "3", "--to", "40"]),
+        # no walk below width 30 is alive: width 30 builds and certifies the
+        # walks of its restrictions down to width 17, where the search fits
+        (CHAIN_1014, ["--saturation", "--from", "30", "--to", "40"]),
+    ],
+    ids=["chain_1014_saturated", "sym_chain", "chain_1014_saturated_from_30"],
+)
+def test_series_pd_reaches_width_40(tmp_path, capsys, text, argv):
+    # each width extends the socle witness of the width before; under the
+    # default caps a search past 2^16 candidates gives up, and the lattice
+    # passes the cap at width 18 (chain 1014) and 17 (the Sym chain)
+    p = tmp_path / "wide.chain"
+    p.write_text(text)
+    lo, hi = int(argv[-3]), int(argv[-1])
+    betti._walk.cache_clear()
+    start = time.perf_counter()
+    rc = main(["series", str(p), "--metric", "pd", *argv])
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert out[1 : hi - lo + 2] == [f"{n},{n - 1}" for n in range(lo, hi + 1)]
+    assert not any(line.startswith("# truncated") for line in out)
+    if lo == 30:
+        assert betti._walk.cache_info().misses == 24  # widths 17..40
+    assert elapsed < 10, f"took {elapsed:.1f}s, budget 10s"
 
 
 def test_invariants_window_cap_exits_before_the_window(tmp_path, capsys):
