@@ -342,11 +342,6 @@ def check_reg_slope(
     return CheckResult(name, True, holds, details)
 
 
-def _keyed(degrees, rows, dims, shift: int = 0) -> dict:
-    """{(i + shift, row tuple): dim} over expanded Betti table arrays."""
-    return dict(zip(zip((degrees + shift).tolist(), map(tuple, rows.tolist())), dims.tolist()))
-
-
 def check_betti_propagation(
     chain: Chain,
     n: int,
@@ -377,7 +372,8 @@ def check_betti_propagation(
     lam = inv.lambda_
     t1 = betti_table(term(chain, n), field, gen_cap, lattice_cap)
     t2 = betti_table(term(chain, n + 1), field, gen_cap, lattice_cap)
-    degrees = _keyed(*t2.expanded).keys()
+    degrees2, rows2, _ = t2.expanded
+    degrees = set(zip(degrees2.tolist(), map(tuple, rows2.tolist())))
     failures = []
     degrees1, rows1, _ = t1.expanded
     for i, a in zip(degrees1.tolist(), rows1.tolist()):

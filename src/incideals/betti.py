@@ -103,9 +103,9 @@ socle monomial x^u of J gives x_i x^(u,c) in I for every i < n and every
 c, and c = min{g_n : g[:n-1] <= u} - 1 is the one value with x^(u,c)
 outside I and x_n x^(u,c) in I.  Along a saturated chain (every Sym
 chain is one) J is the previous term, whose walk the widths run before,
-so one membership test per width replaces a search; the extension must
-pass the full witness test before it is used.  Otherwise the candidates
-are searched: the products of the g_j - 1 over the generator exponents,
+so one membership test per width replaces a search; the extension is
+tested as the one candidate of a search before it is used.  Otherwise
+the candidates are searched: the products of the g_j - 1 over the generator exponents,
 at most 2^16 of them, each block tested on one candidates x columns x
 generators array, gathered from a table of the clipped excesses of each
 column.  A walk past that bound whose restriction J has no live walk
@@ -136,14 +136,12 @@ of x_j, and the upper Koszul complex at such a point sees only those
 generators (Hochster's restriction; Miller-Sturmfels, ch. 1 and 5).
 `_restrictions` indexes the live walks with a built lattice or a
 certified depth by their generator matrix, holding none of them alive;
-it is where the walk of I_n finds the witness of I_{n-1} too.  Each walk
-works out the key of each of its restrictions once, when it first needs
-it.  Before a walk classifies
-the rows of a support band, it looks up the walk of each restriction
-there and takes the strong core of each row of the band with a_j = 0
-that the restriction has classified, found by one `searchsorted` of the
-row keys; a row the restriction dropped was a cone and is dropped here
-too.  Along a chain, where each truncation's restriction to x_n = 0 is
+it is where the walk of I_n finds the witness of I_{n-1} too.  Before a
+walk classifies the rows of a support band, it looks up the walk of each
+restriction there and takes the strong core of each row of the band with
+a_j = 0 that the restriction has classified, found by one `searchsorted`
+of the row keys; a row the restriction dropped was a cone and is dropped
+here too.  Along a chain, where each truncation's restriction to x_n = 0 is
 often the previous one, most points are then classified once for the
 whole chain.
 """
@@ -161,7 +159,7 @@ import numpy as np
 
 from .errors import CapExceeded, ImproperIdeal
 from .gflinalg import DEFAULT_FIELD, FieldSpec
-from .monomials import Monomial, MonomialIdeal, _arrangements, _orbit_size
+from .monomials import Monomial, MonomialIdeal, _arrangements, _orbit_size, colon_stable_exponent
 from .simplicial import SimplicialComplex, face_closure
 
 __all__ = [
@@ -372,26 +370,6 @@ def _socle_columns(gens: np.ndarray) -> list[np.ndarray]:
     return np.split(s.T[keep.T] - 1, np.cumsum(keep.sum(axis=0))[:-1])
 
 
-def _socle_rows(over: np.ndarray) -> np.ndarray:
-    """Which candidates u give monomials x^u in the socle of S/I, from
-    `over`: max(g_j - u_j, 0), clipped at 2, for every candidate u (axis
-    0), column j (axis 1) and generator g (axis 2).
-
-    x^u is in the socle when u is outside I and x_i x^u is in I for every
-    i: no generator is <= u, and for every i some generator exceeds u at
-    i alone, by exactly 1.  Summed over the columns, `over` is 0 when
-    g <= u and 1 when g exceeds u at one column only, by 1.  Only the
-    candidates outside I take the second pass, over every column at once.
-    """
-    excess = over.sum(axis=1, dtype=over.dtype)
-    found = excess.all(axis=1)
-    outside = np.flatnonzero(found)
-    if len(outside):
-        single = (over[outside] == 1) & (excess[outside] == 1)[:, None, :]
-        found[outside] = single.any(axis=2).all(axis=1)
-    return found
-
-
 def _socle_witness(
     gens: np.ndarray, columns: list[np.ndarray] | None = None
 ) -> np.ndarray | None:
@@ -404,11 +382,18 @@ def _socle_witness(
     n - 1.  The candidates of `_socle_columns`, given as `columns` or
     worked out here, are tried in lexicographic order, up to the first
     witness; past _SOCLE_CANDIDATES of them none is tried, and None
-    proves nothing.  The clipped excess of each generator over each
-    candidate value of each column is tabled once, as int8 (the sum over
-    at most 62 columns of values up to 2 fits), so each block of
-    candidates gathers its whole `over` array for `_socle_rows` in one
-    indexing, in blocks of at most _BLOCK_CELLS cells of gens.size each.
+    proves nothing.  The clipped excess max(g_j - u_j, 0), capped at 2,
+    of each generator over each candidate value of each column is tabled
+    once, as int8 (the sum over at most 62 columns of values up to 2
+    fits), so each block of candidates gathers its whole candidates x
+    columns x generators array in one indexing, in blocks of at most
+    _BLOCK_CELLS cells of gens.size each.
+
+    x^u is in the socle when u is outside I and x_i x^u is in I for every
+    i: no generator is <= u, and for every i some generator exceeds u at
+    i alone, by exactly 1.  Summed over the columns, the excess is 0 when
+    g <= u and 1 when g exceeds u at one column only, by 1.  Only the
+    candidates outside I take the second pass, over every column at once.
     """
     if columns is None:
         columns = _socle_columns(gens)
@@ -426,15 +411,17 @@ def _socle_witness(
         k = np.arange(lo, min(count, lo + rows))
         lo, rows = lo + rows, min(2 * rows, most)
         at = np.array(np.unravel_index(k, sizes)).T + start  # candidate k in table rows
-        found = np.flatnonzero(_socle_rows(table[at]))
+        over = table[at]
+        excess = over.sum(axis=1, dtype=over.dtype)
+        outside = np.flatnonzero(excess.all(axis=1))
+        single = (over[outside] == 1) & (excess[outside] == 1)[:, None, :]
+        found = outside[single.any(axis=2).all(axis=1)]
         if len(found):
             return values[at[found[0]]]
     return None
 
 
-def _certified_depth(
-    gens: np.ndarray, columns: list[np.ndarray] | None = None
-) -> tuple[int | None, np.ndarray | None]:
+def _certified_depth(gens: np.ndarray) -> tuple[int | None, np.ndarray | None]:
     """depth S/I, when a socle witness settles it at 0 or 1, else None;
     and the socle witness at depth 0.
 
@@ -453,13 +440,12 @@ def _certified_depth(
     When the generator set is closed under permuting the variables, every
     column gives the same answer, so only the last is tried.  Deleting a
     column keeps the other columns' candidates, so `_socle_columns` is
-    worked out once (or passed as `columns`) and each search is bounded
-    by _SOCLE_CANDIDATES, as the first one is.  Depth 1 with no
-    associated prime of height n - 1, as of <x1 x3, x1 x4, x2 x3, x2 x4>
-    = <x1, x2> /\\ <x3, x4>, is not certified.
+    worked out once, and each search is bounded by _SOCLE_CANDIDATES, as
+    the first one is.  Depth 1 with no associated prime of height n - 1,
+    as of <x1 x3, x1 x4, x2 x3, x2 x4> = <x1, x2> /\\ <x3, x4>, is not
+    certified.
     """
-    if columns is None:
-        columns = _socle_columns(gens)
+    columns = _socle_columns(gens)
     if math.prod(map(len, columns)) > _SOCLE_CANDIDATES:
         return None, None
     witness = _socle_witness(gens, columns)
@@ -892,6 +878,7 @@ class _Walk:
     """
 
     def __init__(self, gens: tuple, width: int, lattice_cap: int) -> None:
+        self._pairs = gens  # per generator: its (index, exponent) pairs
         self._gens = _exponent_matrix(gens, width)
         self._lattice_cap = lattice_cap
         self._ambient = width
@@ -907,7 +894,6 @@ class _Walk:
         self._tables: dict = {}  # p, or (p, variables, width) when padded
         self._certified: int | None = -1  # depth S/I or None, by `_certify`; -1 before
         self._witness: np.ndarray | None = None  # a socle monomial at depth 0
-        self._restricted: dict = {}  # column j -> `_restriction(j)`
         self._lock = threading.Lock()
 
     def _keep(self, rows: np.ndarray) -> None:
@@ -930,35 +916,31 @@ class _Walk:
             self._core = np.full(len(self._lattice), -1, dtype=np.int64)
             _restrictions[_index_key(self._gens)] = self
         self._read_restrictions(low)
-        if low == 0:  # no row is left to read: the keys are not needed again
-            self._restricted.clear()
         band = np.flatnonzero((self._supp >= low) & (self._core < 0))
+        if len(band):
+            cores = self._cores
+            for index, s, facets in _complex_classes(self._lattice[band], self._gens):
+                classes, of_class = _distinct_rows(np.column_stack([s, facets]))
+                distinct, of_core = _distinct_rows(
+                    np.column_stack(_strong_cores(classes[:, 0], classes[:, 1:]))
+                )
+                sizes = (distinct[:, 1:] != _PAD).sum(axis=1)
+                ids = [
+                    cores.setdefault((row[0], tuple(row[1 : 1 + size])), len(cores))
+                    for row, size in zip(distinct.tolist(), sizes.tolist())
+                ]
+                self._core[band[index]] = np.array(ids)[of_core[of_class]]
+            self._keep((self._core >= 0) | (self._supp < low))
+        # lowered last: readers trust the core of every row of support >= _low
         self._low = min(low, self._low)
-        if not len(band):
-            return
-        cores = self._cores
-        for index, s, facets in _complex_classes(self._lattice[band], self._gens):
-            classes, of_class = _distinct_rows(np.column_stack([s, facets]))
-            distinct, of_core = _distinct_rows(
-                np.column_stack(_strong_cores(classes[:, 0], classes[:, 1:]))
-            )
-            sizes = (distinct[:, 1:] != _PAD).sum(axis=1)
-            ids = [
-                cores.setdefault((row[0], tuple(row[1 : 1 + size])), len(cores))
-                for row, size in zip(distinct.tolist(), sizes.tolist())
-            ]
-            self._core[band[index]] = np.array(ids)[of_core[of_class]]
-        self._keep((self._core >= 0) | (self._supp < low))
 
     def _restriction(self, j: int) -> tuple[np.ndarray, tuple]:
         """The columns that the generators free of x_j use, and the key in
         `_restrictions` of those generators with the other columns
-        dropped; worked out once per walk and column."""
-        if j not in self._restricted:
-            sub = self._gens[self._gens[:, j] == 0]
-            used = sub.any(axis=0)
-            self._restricted[j] = used, _index_key(sub[:, used])
-        return self._restricted[j]
+        dropped."""
+        sub = self._gens[self._gens[:, j] == 0]
+        used = sub.any(axis=0)
+        return used, _index_key(sub[:, used])
 
     def _read_restrictions(self, low: int) -> None:
         """Classify the rows of support at least `low` with a zero
@@ -977,7 +959,7 @@ class _Walk:
         distinct core read, not per row.  The restriction has fewer
         generators than this walk, so its lock, taken inside this walk's,
         is always the later in that order.  The keys come from
-        `_restriction`, and a walk drops them once no row is left to read.
+        `_restriction`, worked out on every call.
         """
         pending = np.flatnonzero(
             (self._supp >= low) & (self._supp < self._ambient) & (self._core < 0)
@@ -1041,26 +1023,26 @@ class _Walk:
         `_extended`.  That walk is looked up in `_restrictions`; when it is
         not there and this walk has more than _SOCLE_CANDIDATES candidates
         to search, it is built through `_walk` and certified first, which
-        recurses at most once per width.  Failing that, `_certified_depth`
-        searches.  A certified walk is entered in `_restrictions`, so that
-        the walk of the next width of a chain finds it there.
+        recurses at most once per width.  J uses every column but x_n, so
+        its pairs, taken from this walk's own, are already its key in
+        `_walk`.  Failing that, `_certified_depth` searches.  A certified
+        walk is entered in `_restrictions`, so that the walk of the next
+        width of a chain finds it there.
         """
         if self._certified != -1:
             return self._certified
-        n, columns, other = self._ambient, None, None
+        n, other = self._ambient, None
         used, key = self._restriction(n - 1)
         if n > 1 and used[:-1].all():
             other = _restrictions.get(key)
             if other is None:
-                columns = _socle_columns(self._gens)
-                if math.prod(map(len, columns)) > _SOCLE_CANDIDATES:
-                    sub = self._gens[self._gens[:, -1] == 0, :-1].tolist()
-                    gens = tuple(Monomial.from_dense(row).exps for row in sub)
-                    other = _walk(gens, n - 1, self._lattice_cap)
+                if math.prod(map(len, _socle_columns(self._gens))) > _SOCLE_CANDIDATES:
+                    free = tuple(e for e in self._pairs if e[-1][0] < n)
+                    other = _walk(free, n - 1, self._lattice_cap)
         depth = 0
         self._witness = None if other is None else self._extended(other)
         if self._witness is None:
-            depth, self._witness = _certified_depth(self._gens, columns)
+            depth, self._witness = _certified_depth(self._gens)
         if depth is not None:
             _restrictions[_index_key(self._gens)] = self
         self._certified = depth
@@ -1075,8 +1057,8 @@ class _Walk:
         i < n, and (u, c) is outside I exactly when c < g_n for every
         generator g with g[:n-1] <= u, all of which use x_n.  So
         c = min{g_n : g[:n-1] <= u} - 1 is the one value for which
-        x_n x^(u, c) is in I too.  The extension passes `_socle_rows`
-        before it is used.
+        x_n x^(u, c) is in I too.  The extension is tested as the one
+        candidate of `_socle_witness`.
         """
         with other._lock:  # it has fewer generators: the later lock
             if other._certify() != 0:
@@ -1086,8 +1068,7 @@ class _Walk:
         if not below.any():
             return None
         w = np.append(u, self._gens[below, -1].min() - 1).astype(np.int16)
-        over = np.clip(self._gens.T - w[:, None], 0, 2)
-        return w if _socle_rows(over[None])[0] else None
+        return _socle_witness(self._gens, list(w[:, None]))
 
     def pd(self, p: int) -> int:
         """The largest homological degree over GF(p): n - 1 - depth S/I
@@ -1301,8 +1282,6 @@ def reg_colon_bounds_check(
     0 <= e <= d.  Unit colon cases enter the candidate set with the
     convention reg<1> = 0 but are excluded from the lower bound.
     """
-    from .monomials import colon_stable_exponent
-
     if not ideal.is_proper:
         raise ImproperIdeal("the colon bounds need a nonzero proper ideal")
     d = colon_stable_exponent(ideal, k)

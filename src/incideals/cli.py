@@ -123,7 +123,6 @@ def _resolve_chain(args: argparse.Namespace):
 
 
 def cmd_invariants(args: argparse.Namespace) -> int:
-    field = FieldSpec(args.char)
     chain = _resolve_chain(args)
     inv = chain_invariants(chain, horizon=args.horizon)
     payload = {
@@ -132,7 +131,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
         "q": inv.q,
         "quasi_saturated": inv.quasi_saturated,
         "lambda_maximal": inv.lambda_maximal,
-        "char": field.p,
+        "char": args.char,
         "lambda_certificate": inv.lambda_certificate,
         "lambda_exact": inv.lambda_exact,
         "saturated_window": inv.saturated_window,

@@ -1179,6 +1179,35 @@ def test_threads_reading_restrictions_match_cold_tables():
             assert d == cold[J].pd()
 
 
+def test_interrupted_classification_is_not_read_by_the_next_width():
+    # a walk raises the support from which its rows are classified only
+    # once a band is done: after a classification cut short, the walk of
+    # the next width reads none of the band's rows from it
+    chain = SaturationChain(corpus_chain(1014))
+    J, K = term(chain, 5), term(chain, 6)
+    cold = {}
+    for I in (J, K):
+        _walk.cache_clear()
+        cold[I] = betti_table(I, gen_cap=None)
+    _walk.cache_clear()
+    complex_classes = betti_module._complex_classes
+
+    def interrupted(points, gens):
+        blocks = complex_classes(points, gens)
+        yield next(blocks)
+        raise RuntimeError("interrupted after one block")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(betti_module, "_complex_classes", interrupted)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            betti_table(J, gen_cap=None)
+    assert walk_of(J)._low == J.ambient + 1
+    assert_same_table(betti_table(K, gen_cap=None), cold[K])
+    assert pd(K, gen_cap=None) == cold[K].pd()
+    assert_same_table(betti_table(J, gen_cap=None), cold[J])
+    _walk.cache_clear()
+
+
 # -- the depth certificates ---------------------------------------------------
 
 def socle_candidates(J):
